@@ -161,36 +161,40 @@ class _PathModel:
     the output-sequence marginal. Its exact logit gradient reduces to
     history-grouped sums of P*L because the Q-term's derivative integrates
     to zero.
+
+    Every step shares one logit table of shape (sum_{n<N} (|X||Y|)^n, |X|);
+    step n's rows, one per history of length n, are ``theta[steps[n]]``.
+    ``rows`` and ``cells`` list, step-major, the row and the flat table entry
+    each path draws at each step, so one gather or one scatter serves all
+    steps while every sum still takes its terms in path order.
     """
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         x, y = u.x_size, u.y_size
         pair = x * y
         paths = pair**horizon
-        digits = np.stack(
-            np.unravel_index(np.arange(paths), (pair,) * horizon), axis=1
-        )
+        digits = np.stack(np.unravel_index(np.arange(paths), (pair,) * horizon))
+        xs, ys = digits // y, digits % y
         self.horizon = horizon
-        self.x_size, self.y_size = x, y
-        self.xs = digits // y
-        self.ys = digits % y
-        self.hist = np.zeros((paths, horizon), dtype=np.int64)
+        self.y_size = y
+        offsets = np.concatenate(([0], np.cumsum(pair ** np.arange(horizon))))
+        self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        self.theta_shape = (int(offsets[-1]), x)
+        hist = np.zeros_like(digits)
         for n in range(1, horizon):
-            self.hist[:, n] = self.hist[:, n - 1] * pair + digits[:, n - 1]
+            hist[n] = hist[n - 1] * pair + digits[n - 1]
+        self.rows = (hist + offsets[:-1, None]).ravel()
+        self.cells = self.rows * x + xs.ravel()
         state = np.full(paths, s0, dtype=np.int64)
         wseq = np.ones(paths)
         for n in range(horizon):
-            wseq *= u.w[state, self.xs[:, n], self.ys[:, n]]
-            state = u.f[state, self.xs[:, n], self.ys[:, n]]
+            wseq *= u.w[state, xs[n], ys[n]]
+            state = u.f[state, xs[n], ys[n]]
         self.wseq = wseq
         self.logw = np.where(wseq > 0, np.log2(np.where(wseq > 0, wseq, 1.0)), 0.0)
         self.yidx = np.zeros(paths, dtype=np.int64)
         for n in range(horizon):
-            self.yidx = self.yidx * y + self.ys[:, n]
-
-    def theta_shapes(self):
-        pair = self.x_size * self.y_size
-        return [(pair**n, self.x_size) for n in range(self.horizon)]
+            self.yidx = self.yidx * y + ys[n]
 
     @staticmethod
     def softmax(theta: np.ndarray) -> np.ndarray:
@@ -198,68 +202,66 @@ class _PathModel:
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def objective(self, pis):
+    def objective(self, pi):
         prob = self.wseq.copy()
-        for n in range(self.horizon):
-            prob *= pis[n][self.hist[:, n], self.xs[:, n]]
+        for factor in pi.ravel()[self.cells].reshape(self.horizon, -1):
+            prob *= factor
         q = np.bincount(self.yidx, weights=prob, minlength=self.y_size**self.horizon)
         pos = prob > 0
-        loss = np.zeros_like(prob)
+        loss = np.zeros(prob.size)
         loss[pos] = self.logw[pos] - np.log2(q[self.yidx[pos]])
         value = float(prob @ loss) / self.horizon
         return value, prob, loss
 
-    def gradient(self, pis, prob, loss):
-        pl = prob * loss
-        grads = []
-        for n in range(self.horizon):
-            n_hist = pis[n].shape[0]
-            comb = self.hist[:, n] * self.x_size + self.xs[:, n]
-            s1 = np.bincount(comb, weights=pl, minlength=n_hist * self.x_size)
-            s1 = s1.reshape(n_hist, self.x_size)
-            s0 = np.bincount(self.hist[:, n], weights=pl, minlength=n_hist)
-            grads.append((s1 - pis[n] * s0[:, None]) / self.horizon)
-        return grads
+    def gradient(self, pi, prob, loss):
+        pl = np.concatenate((prob * loss,) * self.horizon)
+        s1 = np.bincount(self.cells, weights=pl, minlength=pi.size).reshape(pi.shape)
+        s0 = np.bincount(self.rows, weights=pl, minlength=pi.shape[0])
+        return (s1 - pi * s0[:, None]) / self.horizon
 
     def objective_at(self, theta) -> float:
-        return self.objective([self.softmax(t) for t in theta])[0]
+        return self.objective(self.softmax(theta))[0]
+
+    def step_sums(self, a, b) -> float:
+        """sum(a * b) added one step's rows at a time, in step order: the
+        rounding that the recorded ascent trajectories pin."""
+        ab = a * b
+        return sum(float(ab[rows].sum()) for rows in self.steps)
 
 
 def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
-    pis = [model.softmax(t) for t in theta]
-    value, prob, loss = model.objective(pis)
+    pi = model.softmax(theta)
+    value, prob, loss = model.objective(pi)
     eta = 1.0
     trace = [value]
     grad_norm = np.inf
     converged = False
     iters = 0
     prev_theta = None
-    prev_grads = None
+    prev_grad = None
     for iters in range(1, cfg.max_iters + 1):
-        grads = model.gradient(pis, prob, loss)
-        grad_norm = max(float(np.abs(g).max()) for g in grads)
+        grad = model.gradient(pi, prob, loss)
+        grad_norm = float(np.abs(grad).max())
         if grad_norm < cfg.grad_tol:
             converged = True
             break
-        if prev_grads is not None:
+        if prev_grad is not None:
             # Barzilai-Borwein trial step; flat ridges need far fewer
             # halving cycles this way than a purely adaptive step does
-            s_dot_s = sum(float(((t - p) ** 2).sum()) for t, p in zip(theta, prev_theta))
-            s_dot_y = sum(
-                float(((t - p) * (g - q)).sum())
-                for t, p, g, q in zip(theta, prev_theta, grads, prev_grads)
-            )
+            s = theta - prev_theta
+            s_dot_s = model.step_sums(s, s)
+            s_dot_y = model.step_sums(s, grad - prev_grad)
             if s_dot_y < 0.0:  # concave curvature along the last step
                 eta = min(max(s_dot_s / -s_dot_y, _STEP_MIN), 1e6)
-        prev_theta = [t.copy() for t in theta]
-        prev_grads = grads
+        prev_theta = theta
+        prev_grad = grad
         improved = False
         while eta >= _STEP_MIN:
-            trial = [t + eta * g for t, g in zip(theta, grads)]
-            trial_pis = [model.softmax(t) for t in trial]
-            trial_value, trial_prob, trial_loss = model.objective(trial_pis)
+            trial = theta + eta * grad
+            trial_pi = model.softmax(trial)
+            trial_value, trial_prob, trial_loss = model.objective(trial_pi)
             if trial_value > value:
-                theta, pis = trial, trial_pis
+                theta, pi = trial, trial_pi
                 value, prob, loss = trial_value, trial_prob, trial_loss
                 eta = min(eta * _STEP_GROW, 1e6)
                 improved = True
@@ -279,21 +281,20 @@ def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
 
 
 def _central_difference_error(model: _PathModel, theta, cfg: OptimizerSettings) -> float:
-    pis = [model.softmax(t) for t in theta]
-    _, prob, loss = model.objective(pis)
-    grads = model.gradient(pis, prob, loss)
+    pi = model.softmax(theta)
+    _, prob, loss = model.objective(pi)
+    grad = model.gradient(pi, prob, loss)
     h = cfg.fd_step
     worst = 0.0
-    for n, t in enumerate(theta):
-        it = np.nditer(t, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            t[idx] += h
-            up = model.objective_at(theta)
-            t[idx] -= 2 * h
-            down = model.objective_at(theta)
-            t[idx] += h
-            worst = max(worst, abs((up - down) / (2 * h) - grads[n][idx]))
+    theta = theta.copy()  # the caller's logits stay bit-exact
+    for idx in np.ndindex(theta.shape):
+        saved = theta[idx]
+        theta[idx] = saved + h
+        up = model.objective_at(theta)
+        theta[idx] = saved - h
+        down = model.objective_at(theta)
+        theta[idx] = saved
+        worst = max(worst, abs((up - down) / (2 * h) - grad[idx]))
     return worst
 
 
@@ -329,16 +330,15 @@ def optimize_rate(
             limit=cfg.max_paths,
         )
     model = _PathModel(u, s0, horizon)
-    shapes = model.theta_shapes()
 
     best = None
     total_iters = 0
     for restart in range(max(1, cfg.restarts)):
         if restart == 0:
-            theta0 = [np.zeros(s) for s in shapes]
+            theta0 = np.zeros(model.theta_shape)
         else:
             rng = np.random.default_rng([cfg.seed, restart])
-            theta0 = [rng.normal(0.0, cfg.init_scale, s) for s in shapes]
+            theta0 = rng.normal(0.0, cfg.init_scale, model.theta_shape)
         theta, value, iters, grad_norm, converged = _ascend(model, theta0, cfg)
         total_iters += iters
         if best is None or value > best[1]:
@@ -351,14 +351,13 @@ def optimize_rate(
         "iterations": total_iters,
         "final_grad_norm": grad_norm,
         "converged": converged,
-        "not_converged": not converged,
         "fast_value": fast_value,
     }
     if cfg.check_gradient:
         diagnostics["grad_check_error"] = _central_difference_error(model, theta, cfg)
 
-    pis = [model.softmax(t) for t in theta]
-    policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pis))
+    pi = model.softmax(theta)
+    policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pi[rows] for rows in model.steps))
     value = evaluate_rate(u, s0, policy)
     return CapacityEstimate(
         value=value,

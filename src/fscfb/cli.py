@@ -145,7 +145,6 @@ def _resolve_settings(args, file_block: dict | None = None):
         tol=float(merged["tol"]),
         seed=int(merged["seed"]),
     )
-    args._resolved_seed = cfg.seed
     return cfg
 
 
@@ -220,7 +219,7 @@ def cmd_capacity(args):
     diags["optimizer"] = (
         f"restarts={cfg.restarts} max_iters={cfg.max_iters} tol={cfg.tol:g} seed={cfg.seed}"
     )
-    return rows, diags, _digest_file(args.channel)
+    return rows, diags, _digest_file(args.channel), cfg.seed
 
 
 def cmd_directed_info(args):
@@ -332,7 +331,7 @@ def cmd_discontinuity_demo(args):
         "note": "limit row uses closed forms; finite k rows use the horizon-n estimator",
         "n": args.n,
     }
-    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}")
+    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}"), cfg.seed
 
 
 def _parse_mock(spec: str):
@@ -495,13 +494,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        rows, diagnostics, digest = args.handler(args)
+        # handlers that resolve optimizer settings also return the seed they used
+        rows, diagnostics, digest, *resolved = args.handler(args)
     except (FscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seed = getattr(args, "_resolved_seed", None)
-    if seed is None:
-        seed = args.seed if getattr(args, "seed", None) is not None else OptimizerSettings().seed
+    if resolved:
+        seed = resolved[0]
+    else:
+        seed = args.seed if args.seed is not None else OptimizerSettings().seed
     report = {
         "command": ["fscfb"] + argv,
         "input_digest": digest,

@@ -201,11 +201,16 @@ def directed_information(joint: JointLaw, n_steps: int) -> float:
         c = a.sum(axis=tuple(range(n)), keepdims=True)  # p(y^n)
         d = c.sum(axis=-1, keepdims=True)              # p(y^{n-1})
         mask = a > 0
+        # p(x^n,y^n) p(y^{n-1}) / (p(x^n,y^{n-1}) p(y^n)) as a quotient of two
+        # conditionals in (0, 1] where a > 0: the products a*d and b*c
+        # underflow to 0/0 once a history's probability nears 1e-160
+        y_cond = np.divide(c, d, out=np.ones_like(c), where=d > 0)
         ratio = np.ones_like(a)
-        np.divide(a * d, b * c, out=ratio, where=mask)
+        np.divide(a, b, out=ratio, where=mask)
+        np.divide(ratio, y_cond, out=ratio, where=mask)
         total += float((a[mask] * np.log2(ratio[mask])).sum())
         total_entdiff += _plogp(c) - _plogp(d) - _plogp(a) + _plogp(b)
-    if abs(total - total_entdiff) > CROSS_CHECK_TOL:
+    if not np.isfinite(total) or abs(total - total_entdiff) > CROSS_CHECK_TOL:
         raise FscError(
             f"directed information cross-check failed: {total!r} vs {total_entdiff!r}"
         )

@@ -37,6 +37,22 @@ def single_state(w):
     return UnifilarChannel(w[None, :, :], np.zeros((1,) + w.shape, dtype=int))
 
 
+def trapdoor():
+    """Permuting channel: emit the trapped ball or the input with equal odds;
+    the one not emitted becomes the state."""
+    w = np.zeros((2, 2, 2))
+    f = np.zeros((2, 2, 2), dtype=int)
+    for s, x, y in np.ndindex(2, 2, 2):
+        f[s, x, y] = s ^ x ^ y
+    for s in range(2):
+        for x in range(2):
+            if x == s:
+                w[s, x, x] = 1.0
+            else:
+                w[s, x] = [0.5, 0.5]
+    return UnifilarChannel(w, f)
+
+
 def test_policy_validation_and_parameter_count():
     pol = CausalPolicy.uniform(2, 2, 3)
     assert pol.free_parameter_count() == (1 + 4 + 16) * 1
@@ -114,7 +130,7 @@ def test_path_model_objective_matches_evaluate_rate(rng):
     u = mixing_pair(0.25, 0.125).channel
     model = _PathModel(u, 0, 3)
     pol = rand_policy(rng, 2, 2, 3)
-    fast, _, _ = model.objective(list(pol.steps))
+    fast, _, _ = model.objective(np.concatenate(pol.steps))
     assert fast == pytest.approx(evaluate_rate(u, 0, pol), abs=1e-12)
 
 
@@ -130,19 +146,18 @@ def test_gradient_matches_finite_differences(rng, builder):
     model = _PathModel(u, 0, 2)
     h = 1e-6
     for _ in range(20):
-        theta = [rng.normal(0, 1.0, s) for s in model.theta_shapes()]
-        pis = [model.softmax(t) for t in theta]
-        _, prob, loss = model.objective(pis)
-        grads = model.gradient(pis, prob, loss)
+        theta = rng.normal(0, 1.0, model.theta_shape)
+        pi = model.softmax(theta)
+        _, prob, loss = model.objective(pi)
+        grad = model.gradient(pi, prob, loss)
         worst = 0.0
-        for layer, t in enumerate(theta):
-            for idx in np.ndindex(t.shape):
-                t[idx] += h
-                up = model.objective_at(theta)
-                t[idx] -= 2 * h
-                down = model.objective_at(theta)
-                t[idx] += h
-                worst = max(worst, abs((up - down) / (2 * h) - grads[layer][idx]))
+        for idx in np.ndindex(theta.shape):
+            t = theta.copy()
+            t[idx] += h
+            up = model.objective_at(t)
+            t[idx] -= 2 * h
+            down = model.objective_at(t)
+            worst = max(worst, abs((up - down) / (2 * h) - grad[idx]))
         assert worst <= 1e-5
 
 
@@ -204,26 +219,72 @@ def test_optimize_is_deterministic():
 
 
 def test_optimize_trapdoor_channel_approaches_known_limit():
-    # permuting channel: emit the trapped ball or the input with equal odds;
-    # the one not emitted becomes the state. Its feedback capacity is the
-    # log of the golden ratio, and finite-horizon maxima climb toward it.
-    w = np.zeros((2, 2, 2))
-    f = np.zeros((2, 2, 2), dtype=int)
-    for s, x, y in np.ndindex(2, 2, 2):
-        f[s, x, y] = s ^ x ^ y
-    for s in range(2):
-        for x in range(2):
-            if x == s:
-                w[s, x, x] = 1.0
-            else:
-                w[s, x] = [0.5, 0.5]
-    u = UnifilarChannel(w, f)
+    # its feedback capacity is the log of the golden ratio, and
+    # finite-horizon maxima climb toward it
+    u = trapdoor()
     limit = np.log2((1 + 5**0.5) / 2)
     values = [optimize_rate(u, 0, n, FAST).value for n in (1, 2, 3, 4)]
     assert values[0] == pytest.approx(np.log2(1.25), abs=1e-9)  # one-shot Z form
     assert all(b > a for a, b in zip(values, values[1:]))
     assert all(v < limit for v in values)
     assert values[-1] > 0.62  # within 0.08 bits of the limit by N = 4
+
+
+# (channel, s0, N) -> (iterations, final_grad_norm, fast_value) of one capped run
+GOLDEN_CELLS = {
+    "mixing": (lambda: mixing_pair(0.25, 0.125).channel, 0, 2,
+               (300, 3.6095870116353845e-05, 0.4564106311455448)),
+    "trapdoor": (trapdoor, 0, 3, (300, 7.879806068623157e-06, 0.5962220170565199)),
+    "noiseless-z": (lambda: noiseless_z_pair(0.25).channel, 1, 2,
+                    (15, 7.975736460164029e-10, 0.5582386267373455)),
+}
+GOLDEN = OptimizerSettings(restarts=1, max_iters=300)
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+def test_optimize_golden_trajectory(cell):
+    """The Barzilai-Borwein softmax ascent's exact trajectory on small cells.
+
+    The values were recorded before the per-step logit tables became one flat
+    table; that rewrite keeps the arithmetic and so every bit. ``fast_value``
+    is the ascent's own path-table objective, so the dense evaluator's
+    rounding does not enter. An optimizer that replaces the ascent replaces
+    this test.
+    """
+    build, s0, n, want = GOLDEN_CELLS[cell]
+    d = optimize_rate(build(), s0, n, GOLDEN).diagnostics
+    assert (d["iterations"], d["final_grad_norm"], d["fast_value"]) == want
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+def test_optimize_fast_value_matches_dense_value(cell):
+    build, s0, n, _ = GOLDEN_CELLS[cell]
+    est = optimize_rate(build(), s0, n, GOLDEN)
+    assert est.diagnostics["fast_value"] == pytest.approx(est.value, abs=1e-12)
+
+
+def test_gradient_check_leaves_the_policy_bit_exact(rng):
+    # moving a logit by +h, -2h, +h in place can round it to a neighbour
+    for _ in range(4):
+        u = rand_unifilar(rng)
+        on = optimize_rate(u, 0, 3, OptimizerSettings(restarts=2, max_iters=300))
+        off = optimize_rate(
+            u, 0, 3, OptimizerSettings(restarts=2, max_iters=300, check_gradient=False)
+        )
+        assert "grad_check_error" in on.diagnostics
+        assert all(np.array_equal(a, b) for a, b in zip(on.policy.steps, off.policy.steps))
+        assert on.value == off.value
+
+
+def test_evaluate_rate_with_underflowing_probabilities():
+    # a*d and b*c underflow to 0/0 at a probability of 1e-200
+    u = trapdoor()
+    second = np.full((4, 2), 0.5)
+    tiny = CausalPolicy(2, 2, 2, (np.array([[1.0 - 1e-200, 1e-200]]), second))
+    exact = CausalPolicy(2, 2, 2, (np.array([[1.0, 0.0]]), second))
+    rate = evaluate_rate(u, 0, tiny)
+    assert np.isfinite(rate)
+    assert rate == pytest.approx(evaluate_rate(u, 0, exact), abs=1e-12)
 
 
 def test_finite_n_bracket_frozen_family():

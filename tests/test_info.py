@@ -5,6 +5,7 @@ from fscfb import (
     CausalKernel,
     ContractViolationError,
     DomainError,
+    FscError,
     JointLaw,
     ResourceLimitError,
     ShapeError,
@@ -148,6 +149,13 @@ def test_directed_information_bounds(rng):
         joint = JointLaw((2,) * n + (3,) * n, table)
         di = directed_information(joint, n)
         assert 0.0 <= di <= n * min(np.log2(2), np.log2(3)) + 1e-12
+
+
+def test_directed_information_non_finite_total_raises():
+    # log2 of 1 / 5e-324 overflows; the result must not come back as inf
+    joint = JointLaw((2, 2), np.array([[5e-324, 0.0], [0.0, 1.0]]))
+    with np.errstate(over="ignore"), pytest.raises(FscError, match="directed information"):
+        directed_information(joint, 1)
 
 
 def test_directed_information_shape_guard():
