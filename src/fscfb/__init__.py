@@ -14,10 +14,8 @@ from .capacity import (
     OptimizerSettings,
     dmc_capacity,
     evaluate_rate,
-    feedback_channel_kernel,
     finite_n_bracket,
     optimize_rate,
-    trajectory_law,
     z_channel_closed_form,
 )
 from .channels import (

@@ -1,10 +1,12 @@
 """Finite-horizon feedback-capacity estimation.
 
 The estimator maximizes (1/N) I(X^N -> Y^N | s_0) over causal input
-policies p(x^N || y^{N-1}) for a unifilar channel. Policies are
+policies p(x^N || y^{N-1}) for a unifilar channel. Every (x^N, y^N) path
+has one channel factor, because the unifilar state is a function of the
+path, so the rate is a sum over flat path tables. Policies are
 parametrized by softmax logits per history, and the ascent uses the exact
-gradient of the directed information through the trajectory law. A
-Blahut-Arimoto solver provides the memoryless-channel oracle.
+gradient of that sum. A Blahut-Arimoto solver provides the
+memoryless-channel oracle.
 """
 
 from __future__ import annotations
@@ -14,17 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import UnifilarChannel
-from .errors import DomainError, ResourceLimitError, ShapeError, ValidationError
-from .info import (
-    INPUTS,
-    CausalKernel,
-    JointLaw,
-    binary_entropy,
-    causal_product,
-    directed_information,
-)
+from .errors import DomainError, FscError, ResourceLimitError, ShapeError, ValidationError
+from .info import MAX_JOINT_ENTRIES, binary_entropy
 
 POLICY_ROW_TOL = 1e-12
+MAX_PATHS = 4096     # (|X||Y|)^N guard on the ascent; 4096 = binary N=6
+_INIT_SCALE = 1.0    # stddev of random logit inits
+_STALL_WINDOW = 50
+_GRAD_TOL = 1e-8     # max-norm stopping criterion
 _STEP_GROW = 1.3
 _STEP_MIN = 1e-18
 
@@ -36,13 +35,7 @@ class OptimizerSettings:
     restarts: int = 8
     max_iters: int = 20000
     tol: float = 1e-10          # objective stall threshold over the window
-    stall_window: int = 50
-    grad_tol: float = 1e-8      # max-norm stopping criterion
     seed: int = 0
-    max_paths: int = 4096       # (|X||Y|)^N guard; 4096 = binary N=6
-    init_scale: float = 1.0     # stddev of random logit inits
-    check_gradient: bool = True
-    fd_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,12 +64,13 @@ class CausalPolicy:
             if t.shape != want:
                 raise ShapeError(f"step {n} table has shape {t.shape}, expected {want}")
             sums = t.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > POLICY_ROW_TOL):
-                h = int(np.argmax(np.abs(sums - 1.0)))
+            off = np.abs(sums - 1.0)
+            if not np.all(off <= POLICY_ROW_TOL):  # written so that NaN fails it
+                h = int(np.argmax(off))  # argmax picks a NaN first
                 raise ValidationError(
                     f"step {n} conditional at history {h} sums to {sums[h]:.17g}"
                 )
-            if np.any(t < 0):
+            if not np.all(t >= 0):
                 raise ValidationError(f"step {n} has negative probabilities")
             t = np.array(t, copy=True)
             t.flags.writeable = False
@@ -101,66 +95,66 @@ class CausalPolicy:
         pair = self.x_size * self.y_size
         return sum(pair ** (n - 1) * (self.x_size - 1) for n in range(1, self.horizon + 1))
 
-    def to_kernel(self) -> CausalKernel:
-        """Repack the flat history tables into a dense input-side causal kernel."""
-        x, y = self.x_size, self.y_size
-        steps = []
-        for n, t in enumerate(self.steps, start=1):
-            arr = t.reshape((x, y) * (n - 1) + (x,))
-            perm = (
-                list(range(0, 2 * (n - 1), 2))
-                + list(range(1, 2 * (n - 1), 2))
-                + [2 * (n - 1)]
-            )
-            steps.append(arr.transpose(perm))
-        return CausalKernel(self.horizon, INPUTS, x, y, tuple(steps))
 
+def _path_tables(u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES):
+    """Wseq, log2 Wseq and the output-sequence index of every (x^N, y^N) path.
 
-def feedback_channel_kernel(u: UnifilarChannel, s0: int, horizon: int) -> CausalKernel:
-    """Output-side kernel p(y_n | y^{n-1}, x^n) = W(y_n | x_n, s_{n-1}(history)).
-
-    The unifilar state after any (x, y) history is deterministic given s_0,
-    so each history prefix selects one row of W.
+    Paths are numbered like the policy's flat histories: the (x_n, y_n)
+    pairs most-recent-last, each pair as x*|Y| + y. Horizons with more than
+    ``limit`` paths are refused before anything is allocated.
     """
     if not 0 <= s0 < u.s_size:
         raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
     x, y = u.x_size, u.y_size
-    steps = []
-    for n in range(1, horizon + 1):
-        t = np.empty((y,) * (n - 1) + (x,) * n + (y,))
-        for hist in np.ndindex((x,) * (n - 1) + (y,) * (n - 1)):
-            xh, yh = hist[: n - 1], hist[n - 1 :]
-            s = s0
-            for xk, yk in zip(xh, yh):
-                s = int(u.f[s, xk, yk])
-            t[yh + xh] = u.w[s]
-        steps.append(t)
-    return CausalKernel(horizon, "outputs", y, x, tuple(steps))
+    paths = (x * y) ** horizon
+    if paths > limit:
+        raise ResourceLimitError(
+            f"horizon {horizon} needs {paths} trajectories, over the limit of {limit}",
+            limit=limit,
+        )
+    wseq = np.ones(1)
+    state = np.array([s0])
+    yidx = np.zeros(1, dtype=np.int64)
+    for _ in range(horizon):
+        wseq = (wseq[:, None, None] * u.w[state]).ravel()
+        state = u.f[state].ravel()
+        yidx = np.broadcast_to(yidx[:, None, None] * y + np.arange(y), (yidx.size, x, y)).ravel()
+    logw = np.where(wseq > 0, wseq, 1.0)
+    return wseq, np.log2(logw, out=logw), yidx
 
 
-def trajectory_law(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> JointLaw:
-    """Exact joint p(x^N, y^N | s_0) induced by the policy on the channel."""
-    if policy.x_size != u.x_size or policy.y_size != u.y_size:
-        raise ShapeError("policy alphabets do not match the channel")
-    return causal_product(
-        policy.to_kernel(), feedback_channel_kernel(u, s0, policy.horizon)
-    )
+def _path_rate(prob, logw, yidx, horizon: int, y_size: int):
+    """(1/N) sum_p P(p) [log2 Wseq(p) - log2 Q(y(p))] and the per-path loss
+    in brackets, with Q the output-sequence marginal of the path law P."""
+    q = np.bincount(yidx, weights=prob, minlength=y_size**horizon)
+    loss = np.log2(np.where(q > 0, q, 1.0))[yidx]
+    np.subtract(logw, loss, out=loss)
+    loss[prob <= 0] = 0.0
+    return float(prob @ loss) / horizon, loss
 
 
 def evaluate_rate(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> float:
     """(1/N) I(X^N -> Y^N | s_0) in bits per channel use."""
-    joint = trajectory_law(u, s0, policy)
-    return directed_information(joint, policy.horizon) / policy.horizon
+    if policy.x_size != u.x_size or policy.y_size != u.y_size:
+        raise ShapeError("policy alphabets do not match the channel")
+    n_steps = policy.horizon
+    prob, logw, yidx = _path_tables(u, s0, n_steps)
+    pair = u.x_size * u.y_size
+    for n, step in enumerate(policy.steps):
+        # each (history, x_n) entry covers y_n and every continuation
+        prob *= np.repeat(step.ravel(), u.y_size * pair ** (n_steps - 1 - n))
+    value, _ = _path_rate(prob, logw, yidx, n_steps, u.y_size)
+    if not np.isfinite(value):
+        raise FscError(f"directed information is not finite: {value!r}")
+    return value
 
 
 class _PathModel:
     """Flat enumeration of all (x, y) trajectories for fast ascent iterations.
 
-    The objective is J = (1/N) sum_p P(p) [log2 Wseq(p) - log2 Q(y(p))] with
-    P the path law under the current policy, Wseq the channel factor and Q
-    the output-sequence marginal. Its exact logit gradient reduces to
-    history-grouped sums of P*L because the Q-term's derivative integrates
-    to zero.
+    The objective is the rate of ``_path_rate`` under the current policy.
+    Its exact logit gradient reduces to history-grouped sums of P*L because
+    the Q-term's derivative integrates to zero.
 
     Every step shares one logit table of shape (sum_{n<N} (|X||Y|)^n, |X|);
     step n's rows, one per history of length n, are ``theta[steps[n]]``.
@@ -170,31 +164,18 @@ class _PathModel:
     """
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
+        self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS)
         x, y = u.x_size, u.y_size
         pair = x * y
-        paths = pair**horizon
-        digits = np.stack(np.unravel_index(np.arange(paths), (pair,) * horizon))
-        xs, ys = digits // y, digits % y
         self.horizon = horizon
         self.y_size = y
         offsets = np.concatenate(([0], np.cumsum(pair ** np.arange(horizon))))
         self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.theta_shape = (int(offsets[-1]), x)
-        hist = np.zeros_like(digits)
-        for n in range(1, horizon):
-            hist[n] = hist[n - 1] * pair + digits[n - 1]
-        self.rows = (hist + offsets[:-1, None]).ravel()
-        self.cells = self.rows * x + xs.ravel()
-        state = np.full(paths, s0, dtype=np.int64)
-        wseq = np.ones(paths)
-        for n in range(horizon):
-            wseq *= u.w[state, xs[n], ys[n]]
-            state = u.f[state, xs[n], ys[n]]
-        self.wseq = wseq
-        self.logw = np.where(wseq > 0, np.log2(np.where(wseq > 0, wseq, 1.0)), 0.0)
-        self.yidx = np.zeros(paths, dtype=np.int64)
-        for n in range(horizon):
-            self.yidx = self.yidx * y + ys[n]
+        path = np.arange(self.wseq.size)
+        later = pair ** np.arange(horizon - 1, -1, -1)[:, None]  # paths per step-n pair
+        self.rows = (path // (later * pair) + offsets[:-1, None]).ravel()
+        self.cells = self.rows * x + (path // later % pair // y).ravel()
 
     @staticmethod
     def softmax(theta: np.ndarray) -> np.ndarray:
@@ -206,11 +187,7 @@ class _PathModel:
         prob = self.wseq.copy()
         for factor in pi.ravel()[self.cells].reshape(self.horizon, -1):
             prob *= factor
-        q = np.bincount(self.yidx, weights=prob, minlength=self.y_size**self.horizon)
-        pos = prob > 0
-        loss = np.zeros(prob.size)
-        loss[pos] = self.logw[pos] - np.log2(q[self.yidx[pos]])
-        value = float(prob @ loss) / self.horizon
+        value, loss = _path_rate(prob, self.logw, self.yidx, self.horizon, self.y_size)
         return value, prob, loss
 
     def gradient(self, pi, prob, loss):
@@ -242,7 +219,7 @@ def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
     for iters in range(1, cfg.max_iters + 1):
         grad = model.gradient(pi, prob, loss)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm < cfg.grad_tol:
+        if grad_norm < _GRAD_TOL:
             converged = True
             break
         if prev_grad is not None:
@@ -272,30 +249,12 @@ def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
             break
         trace.append(value)
         if (
-            len(trace) > cfg.stall_window
-            and value - trace[-cfg.stall_window - 1] < cfg.tol
+            len(trace) > _STALL_WINDOW
+            and value - trace[-_STALL_WINDOW - 1] < cfg.tol
         ):
             converged = True
             break
     return theta, value, iters, grad_norm, converged
-
-
-def _central_difference_error(model: _PathModel, theta, cfg: OptimizerSettings) -> float:
-    pi = model.softmax(theta)
-    _, prob, loss = model.objective(pi)
-    grad = model.gradient(pi, prob, loss)
-    h = cfg.fd_step
-    worst = 0.0
-    theta = theta.copy()  # the caller's logits stay bit-exact
-    for idx in np.ndindex(theta.shape):
-        saved = theta[idx]
-        theta[idx] = saved + h
-        up = model.objective_at(theta)
-        theta[idx] = saved - h
-        down = model.objective_at(theta)
-        theta[idx] = saved
-        worst = max(worst, abs((up - down) / (2 * h) - grad[idx]))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -317,18 +276,10 @@ def optimize_rate(
 
     Start 0 is the uniform policy, so the result is never below the
     uniform-iid baseline; remaining starts use seeded random logits. The
-    analytic gradient is cross-checked against central finite differences
-    at the returned solution.
+    reported value is the ascent's own objective at the best logits, which
+    is exactly ``evaluate_rate`` of the returned policy's path law.
     """
     cfg = cfg or OptimizerSettings()
-    if not 0 <= s0 < u.s_size:
-        raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
-    paths = (u.x_size * u.y_size) ** horizon
-    if paths > cfg.max_paths:
-        raise ResourceLimitError(
-            f"horizon {horizon} needs {paths} trajectories, over the limit of {cfg.max_paths}",
-            limit=cfg.max_paths,
-        )
     model = _PathModel(u, s0, horizon)
 
     best = None
@@ -338,34 +289,28 @@ def optimize_rate(
             theta0 = np.zeros(model.theta_shape)
         else:
             rng = np.random.default_rng([cfg.seed, restart])
-            theta0 = rng.normal(0.0, cfg.init_scale, model.theta_shape)
+            theta0 = rng.normal(0.0, _INIT_SCALE, model.theta_shape)
         theta, value, iters, grad_norm, converged = _ascend(model, theta0, cfg)
         total_iters += iters
         if best is None or value > best[1]:
             best = (theta, value, restart, grad_norm, converged)
-    theta, fast_value, best_restart, grad_norm, converged = best
-
-    diagnostics = {
-        "restarts": max(1, cfg.restarts),
-        "best_restart": best_restart,
-        "iterations": total_iters,
-        "final_grad_norm": grad_norm,
-        "converged": converged,
-        "fast_value": fast_value,
-    }
-    if cfg.check_gradient:
-        diagnostics["grad_check_error"] = _central_difference_error(model, theta, cfg)
+    theta, value, best_restart, grad_norm, converged = best
 
     pi = model.softmax(theta)
     policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pi[rows] for rows in model.steps))
-    value = evaluate_rate(u, s0, policy)
     return CapacityEstimate(
         value=value,
         horizon=horizon,
         initial_state=s0,
         state_mode="fixed",
         policy=policy,
-        diagnostics=diagnostics,
+        diagnostics={
+            "restarts": max(1, cfg.restarts),
+            "best_restart": best_restart,
+            "iterations": total_iters,
+            "final_grad_norm": grad_norm,
+            "converged": converged,
+        },
     )
 
 
@@ -415,11 +360,12 @@ def dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> DmcCapaci
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ShapeError(f"channel table must be 2-d, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValidationError("channel has negative entries")
+    if not np.all(w >= 0):  # written so that NaN fails it
+        raise ValidationError("channel has negative or NaN entries")
     sums = w.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > POLICY_ROW_TOL):
-        x = int(np.argmax(np.abs(sums - 1.0)))
+    off = np.abs(sums - 1.0)
+    if not np.all(off <= POLICY_ROW_TOL):
+        x = int(np.argmax(off))
         raise ValidationError(f"channel row x={x} sums to {sums[x]:.17g}")
     x_size = w.shape[0]
     logw = np.where(w > 0, np.log2(np.where(w > 0, w, 1.0)), 0.0)

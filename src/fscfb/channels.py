@@ -27,8 +27,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# _check_rows and _check_range are written so that NaN fails them: every
+# comparison with NaN is False.
 def _check_rows(rows: np.ndarray, what: str) -> None:
-    bad = np.argwhere(np.abs(rows - 1.0) > ROW_SUM_TOL)
+    bad = np.argwhere(~(np.abs(rows - 1.0) <= ROW_SUM_TOL))
     if bad.size:
         s, x = bad[0]
         raise ValidationError(
@@ -37,7 +39,7 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
 
 
 def _check_range(table: np.ndarray, what: str) -> None:
-    bad = np.argwhere((table < 0.0) | (table > 1.0))
+    bad = np.argwhere(~((table >= 0.0) & (table <= 1.0)))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise ValidationError(f"{what} entry {idx} = {table[tuple(bad[0])]:.17g} outside [0, 1]")
@@ -129,7 +131,7 @@ class StateBeliefTable:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ShapeError("state belief must be a vector over states")
-        if abs(values.sum() - 1.0) > ROW_SUM_TOL:
+        if not abs(values.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValidationError(f"state belief sums to {values.sum():.17g}, expected 1")
         object.__setattr__(self, "values", _frozen(values))
 

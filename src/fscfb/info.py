@@ -61,10 +61,11 @@ class JointLaw:
                 f"dense joint with {table.size} entries exceeds the guard of {MAX_JOINT_ENTRIES}",
                 limit=MAX_JOINT_ENTRIES,
             )
-        if np.any(table < 0):
-            raise ValidationError("joint law has negative entries")
+        # written so that NaN fails the checks: every comparison with NaN is False
+        if not np.all(table >= 0):
+            raise ValidationError("joint law has negative or NaN entries")
         total = table.sum()
-        if abs(total - 1.0) > JOINT_SUM_TOL:
+        if not abs(total - 1.0) <= JOINT_SUM_TOL:
             raise ValidationError(f"joint law sums to {total:.17g}, expected 1")
         tbl = np.array(table, copy=True)
         tbl.flags.writeable = False
@@ -102,8 +103,9 @@ class CausalKernel:
             if t.shape != want:
                 raise ShapeError(f"step {n} table has shape {t.shape}, expected {want}")
             sums = t.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > KERNEL_ROW_TOL):
-                bad = np.argwhere(np.abs(sums - 1.0) > KERNEL_ROW_TOL)[0]
+            off = ~(np.abs(sums - 1.0) <= KERNEL_ROW_TOL)  # NaN fails the check
+            if off.any():
+                bad = np.argwhere(off)[0]
                 raise ValidationError(
                     f"step {n} conditional at history {tuple(int(i) for i in bad)} "
                     f"sums to {sums[tuple(bad)]:.17g}"

@@ -139,14 +139,22 @@ def lambda_double_sequence(oracle, n: int, m: int) -> Fraction:
     if n < 1 or m < 1:
         raise DomainError(f"indices must be >= 1, got n={n}, m={m}")
     try:
-        for step in range(1, m + 1):
-            if oracle.halted_within(n, step):
-                return Fraction(1, 2**step)
+        if not oracle.halted_within(n, m):
+            return Fraction(1, 2**m)
+        # answers are monotone in the step bound, so bisect for the first
+        # halting step: at most ceil(log2 m) more queries
+        lo, hi = 1, m
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if oracle.halted_within(n, mid):
+                hi = mid
+            else:
+                lo = mid + 1
     except OracleError:
         raise
     except Exception as exc:
         raise OracleError(f"oracle query failed for n={n}: {exc}") from exc
-    return Fraction(1, 2**m)
+    return Fraction(1, 2**lo)
 
 
 def effective_certificate(values) -> list:

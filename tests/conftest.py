@@ -51,6 +51,22 @@ def brute_nfold(law, x_seq, s0):
     return out
 
 
+def brute_joint(u, s0, policy):
+    """p(x^N, y^N | s_0) with axes x_1..x_N, y_1..y_N, one path at a time
+    through the policy's history rows and the channel's state walk."""
+    n_steps, x_size, y_size = policy.horizon, u.x_size, u.y_size
+    joint = np.zeros((x_size,) * n_steps + (y_size,) * n_steps)
+    for xs in itertools.product(range(x_size), repeat=n_steps):
+        for ys in itertools.product(range(y_size), repeat=n_steps):
+            p, s, h = 1.0, s0, 0
+            for n in range(n_steps):
+                p *= policy.steps[n][h, xs[n]] * u.w[s, xs[n], ys[n]]
+                s = int(u.f[s, xs[n], ys[n]])
+                h = h * x_size * y_size + xs[n] * y_size + ys[n]
+            joint[xs + ys] = p
+    return joint
+
+
 def brute_directed_info(table, n_steps):
     """Conditional-MI sum by dictionary enumeration over all index tuples."""
     dims = table.shape

@@ -53,6 +53,21 @@ def test_fsc_validation():
         FiniteStateChannel(law)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: UnifilarChannel(np.full((1, 2, 2), t), np.zeros((1, 2, 2), dtype=int)),
+        lambda t: FiniteStateChannel(np.full((1, 2, 2, 1), t)),
+        lambda t: StateBeliefTable(np.array([t, t])),
+    ],
+    ids=["unifilar", "general", "belief"],
+)
+def test_validation_rejects_non_finite_entries(build, bad):
+    with pytest.raises(ValidationError):
+        build(bad)
+
+
 def test_channels_are_immutable():
     g = noiseless_z_pair(EPS)
     with pytest.raises(ValueError):

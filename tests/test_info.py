@@ -15,7 +15,7 @@ from fscfb import (
     directed_information,
     memoryless_bound_check,
 )
-from conftest import brute_directed_info, rand_policy
+from conftest import brute_directed_info
 
 H2_QUARTER = 0.8112781244591328  # -p log2 p - (1-p) log2 (1-p) at p = 1/4
 C_Z_QUARTER = 0.5582386267373455  # log2(1 + 2^(-g)) at eps = 1/4
@@ -51,6 +51,20 @@ def test_kernel_validation():
         CausalKernel(1, "sideways", 2, 2, (np.array([0.5, 0.5]),))
     with pytest.raises(ValidationError):
         CausalKernel.iid_inputs([0.5, 0.6], 2, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: JointLaw((2, 2), np.full((2, 2), t)),
+        lambda t: CausalKernel(1, "inputs", 2, 2, (np.full(2, t),)),
+    ],
+    ids=["joint", "kernel"],
+)
+def test_validation_rejects_non_finite_entries(build, bad):
+    with pytest.raises(ValidationError):
+        build(bad)
 
 
 def test_causal_product_single_step():
@@ -96,7 +110,11 @@ def test_causal_product_shape_errors():
 
 
 def test_causal_product_recovers_kernel_conditionals(rng):
-    pol = rand_policy(rng, 2, 2, 3).to_kernel()
+    steps = []
+    for n in range(1, 4):
+        t = rng.random((2,) * (2 * n - 1))  # axes x^{n-1}, y^{n-1}, x_n
+        steps.append(t / t.sum(axis=-1, keepdims=True))
+    pol = CausalKernel(3, "inputs", 2, 2, tuple(steps))
     w = rng.random((2, 2))
     w /= w.sum(axis=1, keepdims=True)
     chan = CausalKernel.memoryless_outputs(w, 3)

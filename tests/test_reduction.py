@@ -64,6 +64,29 @@ def test_lambda_sequence_certificate(rng):
                 assert abs(values[m - 1] - values[big_m - 1]) < bound
 
 
+class CountingOracle(FixedHaltingOracle):
+    def __init__(self, times):
+        super().__init__(times)
+        self.queries = 0
+
+    def halted_within(self, n, m):
+        self.queries += 1
+        return super().halted_within(n, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 33])
+def test_lambda_sequence_matches_linear_scan_in_log_queries(m):
+    for step in list(range(1, m + 2)) + [None]:
+        reference = FixedHaltingOracle({1: step} if step else {})
+        linear = next(
+            (Fraction(1, 2**k) for k in range(1, m + 1) if reference.halted_within(1, k)),
+            Fraction(1, 2**m),
+        )
+        oracle = CountingOracle({1: step} if step else {})
+        assert lambda_double_sequence(oracle, 1, m) == linear
+        assert oracle.queries <= 1 + (m - 1).bit_length()  # 1 + ceil(log2 m)
+
+
 def test_lambda_sequence_domain_and_failures():
     with pytest.raises(DomainError):
         lambda_double_sequence(FixedHaltingOracle(1), 0, 3)
