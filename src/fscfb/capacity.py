@@ -3,15 +3,15 @@
 The estimator maximizes (1/N) I(X^N -> Y^N | s_0) over causal input
 policies p(x^N || y^{N-1}) for a unifilar channel. Every (x^N, y^N) path
 has one channel factor, because the unifilar state is a function of the
-path, so the rate is a sum over flat path tables. Policies are
-parametrized by softmax logits per history, and the ascent uses the exact
-gradient of that sum. A Blahut-Arimoto solver provides the
-memoryless-channel oracle.
+path, so the rate is a sum over flat path tables. An over-relaxed
+directed-information Blahut-Arimoto maximizes it and certifies an upper
+bound as it goes. A memoryless Blahut-Arimoto solver provides the
+single-state oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,22 +20,16 @@ from .errors import DomainError, FscError, ResourceLimitError, ShapeError, Valid
 from .info import MAX_JOINT_ENTRIES, binary_entropy
 
 POLICY_ROW_TOL = 1e-12
-MAX_PATHS = 4096     # (|X||Y|)^N guard on the ascent; 4096 = binary N=6
-_INIT_SCALE = 1.0    # stddev of random logit inits
-_STALL_WINDOW = 50
-_GRAD_TOL = 1e-8     # max-norm stopping criterion
-_STEP_GROW = 1.3
-_STEP_MIN = 1e-18
+MAX_PATHS = 4096     # (|X||Y|)^N guard on the solver; 4096 = binary N=6
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the multi-start ascent; defaults match the CLI defaults."""
+    """Knobs of the Blahut-Arimoto solver; defaults match the CLI defaults."""
 
-    restarts: int = 8
-    max_iters: int = 20000
-    tol: float = 1e-10          # objective stall threshold over the window
-    seed: int = 0
+    max_iters: int = 20000      # policy updates
+    tol: float = 1e-10          # stop once upper - lower < tol
 
 
 @dataclass(frozen=True)
@@ -96,13 +90,20 @@ class CausalPolicy:
         return sum(pair ** (n - 1) * (self.x_size - 1) for n in range(1, self.horizon + 1))
 
 
-def _path_tables(u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES):
+def _path_tables(
+    u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES, factors=None
+):
     """Wseq, log2 Wseq and the output-sequence index of every (x^N, y^N) path.
 
     Paths are numbered like the policy's flat histories: the (x_n, y_n)
-    pairs most-recent-last, each pair as x*|Y| + y. Horizons with more than
-    ``limit`` paths are refused before anything is allocated.
+    pairs most-recent-last, each pair as x*|Y| + y. Horizons below 1 or with
+    more than ``limit`` paths are refused before anything is allocated.
+    Each step's channel factor W_n(y_n | x_n, s_{n-1}), shaped (histories
+    of length n-1, |X|, |Y|), is appended to ``factors`` if that is a list
+    (at binary N = 10 they would add a quarter to evaluate_rate's peak).
     """
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= s0 < u.s_size:
         raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
     x, y = u.x_size, u.y_size
@@ -116,6 +117,8 @@ def _path_tables(u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOI
     state = np.array([s0])
     yidx = np.zeros(1, dtype=np.int64)
     for _ in range(horizon):
+        if factors is not None:
+            factors.append(u.w[state])
         wseq = (wseq[:, None, None] * u.w[state]).ravel()
         state = u.f[state].ravel()
         yidx = np.broadcast_to(yidx[:, None, None] * y + np.arange(y), (yidx.size, x, y)).ravel()
@@ -123,14 +126,13 @@ def _path_tables(u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOI
     return wseq, np.log2(logw, out=logw), yidx
 
 
-def _path_rate(prob, logw, yidx, horizon: int, y_size: int):
-    """(1/N) sum_p P(p) [log2 Wseq(p) - log2 Q(y(p))] and the per-path loss
-    in brackets, with Q the output-sequence marginal of the path law P."""
+def _path_rate(prob, logw, yidx, horizon: int, y_size: int, loss=None):
+    """(1/N) sum_p P(p) L(p) with the loss L = log2 Wseq - log2 Q(y(p)),
+    written into ``loss`` if given, and Q, the output-sequence marginal of
+    the path law P."""
     q = np.bincount(yidx, weights=prob, minlength=y_size**horizon)
-    loss = np.log2(np.where(q > 0, q, 1.0))[yidx]
-    np.subtract(logw, loss, out=loss)
-    loss[prob <= 0] = 0.0
-    return float(prob @ loss) / horizon, loss
+    loss = np.subtract(logw, np.log2(np.where(q > 0, q, 1.0))[yidx], out=loss)
+    return float(prob @ loss) / horizon, q
 
 
 def evaluate_rate(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> float:
@@ -143,123 +145,126 @@ def evaluate_rate(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> float:
     for n, step in enumerate(policy.steps):
         # each (history, x_n) entry covers y_n and every continuation
         prob *= np.repeat(step.ravel(), u.y_size * pair ** (n_steps - 1 - n))
-    value, _ = _path_rate(prob, logw, yidx, n_steps, u.y_size)
+    value, _ = _path_rate(prob, logw, yidx, n_steps, u.y_size, loss=logw)  # in place: peak memory
     if not np.isfinite(value):
         raise FscError(f"directed information is not finite: {value!r}")
     return value
 
 
+def _logsumexp(t):
+    """ln sum_x exp t[x, h] for every column h."""
+    top = t.max(axis=0)
+    return np.log(np.exp(t - top).sum(axis=0)) + top
+
+
 class _PathModel:
-    """Flat enumeration of all (x, y) trajectories for fast ascent iterations.
+    """Flat enumeration of all (x^N, y^N) paths for the Blahut-Arimoto solver.
 
-    The objective is the rate of ``_path_rate`` under the current policy.
-    Its exact logit gradient reduces to history-grouped sums of P*L because
-    the Q-term's derivative integrates to zero.
+    The policy is one log-probability table theta of shape
+    (|X|, sum_{n<N} (|X||Y|)^n), x-major so that every reduction over x
+    runs along whole rows; step n's columns, one per history of length n,
+    are ``theta[:, steps[n]]``. ``cells`` lists, step-major, the flat table
+    entry each path draws at each step, so one gather serves all steps.
 
-    Every step shares one logit table of shape (sum_{n<N} (|X||Y|)^n, |X|);
-    step n's rows, one per history of length n, are ``theta[steps[n]]``.
-    ``rows`` and ``cells`` list, step-major, the row and the flat table entry
-    each path draws at each step, so one gather or one scatter serves all
-    steps while every sum still takes its terms in path order.
+    ``forward`` leaves two per-path tables in ``buf``: the log posterior
+    z = ln P(x^N | y^N) and the loss L = log2 Wseq - log2 Q(y^N), whose
+    P-weighted mean is the rate. ``backward`` folds both to the root one
+    step at a time through the step's channel factor: z into the
+    Blahut-Arimoto policy update, L into the best deterministic policy's
+    value of the rate linearized at the current policy.
     """
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
-        self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS)
+        self.factors = []
+        self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS, self.factors)
         x, y = u.x_size, u.y_size
         pair = x * y
         self.horizon = horizon
         self.y_size = y
         offsets = np.concatenate(([0], np.cumsum(pair ** np.arange(horizon))))
         self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        self.theta_shape = (int(offsets[-1]), x)
+        self.theta_shape = (x, int(offsets[-1]))
         path = np.arange(self.wseq.size)
         later = pair ** np.arange(horizon - 1, -1, -1)[:, None]  # paths per step-n pair
-        self.rows = (path // (later * pair) + offsets[:-1, None]).ravel()
-        self.cells = self.rows * x + (path // later % pair // y).ravel()
+        rows = path // (later * pair) + offsets[:-1, None]
+        self.cells = (path // later % pair // y * offsets[-1] + rows).ravel()
+        # pick[x, (x, y)] = 1: sums a history's (x_n, y_n) entries over y_n
+        self.pick = np.repeat(np.eye(x), y, axis=1)
+        # the output sequences some path reaches: L is exact only where Q > 0 on all of them
+        self.reached = np.bincount(self.yidx, weights=self.wseq, minlength=y**horizon) > 0
+        self.buf = np.empty((2, self.wseq.size))
 
-    @staticmethod
-    def softmax(theta: np.ndarray) -> np.ndarray:
-        z = theta - theta.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+    def forward(self, theta):
+        """The rate of the policy exp(theta), and whether L is exact."""
+        lp = theta.ravel()[self.cells].reshape(self.horizon, -1).sum(axis=0)
+        prob = self.wseq * np.exp(lp)
+        z, loss = self.buf
+        value, q = _path_rate(prob, self.logw, self.yidx, self.horizon, self.y_size, loss)
+        np.multiply(loss, _LN2, out=z)
+        z += lp
+        return value, bool(q[self.reached].all())
 
-    def objective(self, pi):
-        prob = self.wseq.copy()
-        for factor in pi.ravel()[self.cells].reshape(self.horizon, -1):
-            prob *= factor
-        value, loss = _path_rate(prob, self.logw, self.yidx, self.horizon, self.y_size)
-        return value, prob, loss
-
-    def gradient(self, pi, prob, loss):
-        pl = np.concatenate((prob * loss,) * self.horizon)
-        s1 = np.bincount(self.cells, weights=pl, minlength=pi.size).reshape(pi.shape)
-        s0 = np.bincount(self.rows, weights=pl, minlength=pi.shape[0])
-        return (s1 - pi * s0[:, None]) / self.horizon
-
-    def objective_at(self, theta) -> float:
-        return self.objective(self.softmax(theta))[0]
-
-    def step_sums(self, a, b) -> float:
-        """sum(a * b) added one step's rows at a time, in step order: the
-        rounding that the recorded ascent trajectories pin."""
-        ab = a * b
-        return sum(float(ab[rows].sum()) for rows in self.steps)
+    def backward(self, out):
+        """Write the Blahut-Arimoto update of the last forward's policy into
+        ``out`` and return the linearized rate's maximum, an upper bound on
+        the horizon-N optimum when L is exact."""
+        a = self.buf
+        for n in range(self.horizon - 1, -1, -1):
+            w = self.factors[n]
+            h = w.shape[0]
+            # expectations over y_n, laid out (x_n, [z histories, L histories])
+            e = self.pick @ (a.reshape(2, h, -1) * w.reshape(h, -1)).reshape(2 * h, -1).T
+            ez, ev = e[:, :h], e[:, h:]
+            lse = _logsumexp(ez)
+            np.subtract(ez, lse, out=out[:, self.steps[n]])
+            a = a[:, :h]  # one entry per history of length n-1
+            a[0] = lse
+            ev.max(axis=0, out=a[1])
+        return float(a[1, 0]) / self.horizon
 
 
 def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
-    pi = model.softmax(theta)
-    value, prob, loss = model.objective(pi)
-    eta = 1.0
-    trace = [value]
-    grad_norm = np.inf
-    converged = False
+    """Over-relaxed Blahut-Arimoto from the log-policy ``theta``.
+
+    Each iteration moves to theta + omega (theta_BA - theta), renormalized,
+    if that does not lower the rate, and otherwise to the plain update
+    theta_BA, which never does; omega grows 1.5-fold on every accepted
+    move and is reset to 1 on a rejected one. Rounding can put the smallest
+    upper bound seen an ulp below the rate; it is reported as at least that.
+    """
+    value, exact = model.forward(theta)
+    update = np.empty_like(theta)
+    upper = np.inf
+    omega = 1.0
     iters = 0
-    prev_theta = None
-    prev_grad = None
-    for iters in range(1, cfg.max_iters + 1):
-        grad = model.gradient(pi, prob, loss)
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm < _GRAD_TOL:
-            converged = True
+    while True:
+        bound = model.backward(update)
+        if exact:
+            upper = min(upper, bound)
+        if upper - value < cfg.tol or iters >= cfg.max_iters:
             break
-        if prev_grad is not None:
-            # Barzilai-Borwein trial step; flat ridges need far fewer
-            # halving cycles this way than a purely adaptive step does
-            s = theta - prev_theta
-            s_dot_s = model.step_sums(s, s)
-            s_dot_y = model.step_sums(s, grad - prev_grad)
-            if s_dot_y < 0.0:  # concave curvature along the last step
-                eta = min(max(s_dot_s / -s_dot_y, _STEP_MIN), 1e6)
-        prev_theta = theta
-        prev_grad = grad
-        improved = False
-        while eta >= _STEP_MIN:
-            trial = theta + eta * grad
-            trial_pi = model.softmax(trial)
-            trial_value, trial_prob, trial_loss = model.objective(trial_pi)
-            if trial_value > value:
-                theta, pi = trial, trial_pi
-                value, prob, loss = trial_value, trial_prob, trial_loss
-                eta = min(eta * _STEP_GROW, 1e6)
-                improved = True
-                break
-            eta *= 0.5
-        if not improved:
-            converged = True  # no ascent step improves: numerically stationary
-            break
-        trace.append(value)
-        if (
-            len(trace) > _STALL_WINDOW
-            and value - trace[-_STALL_WINDOW - 1] < cfg.tol
-        ):
-            converged = True
-            break
-    return theta, value, iters, grad_norm, converged
+        iters += 1
+        if omega > 1.0:
+            trial = theta + omega * (update - theta)
+            trial -= _logsumexp(trial)
+            trial_value, trial_exact = model.forward(trial)
+            if trial_value >= value:
+                theta, value, exact = trial, trial_value, trial_exact
+                omega *= 1.5
+                continue
+            omega = 1.0
+        else:
+            omega = 1.5
+        theta, update = update, np.empty_like(update)
+        value, exact = model.forward(theta)
+    return theta, value, max(upper, value), iters
 
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """A finite-horizon feedback-rate estimate and how it was obtained."""
+    """A finite-horizon feedback-rate estimate and how it was obtained:
+    ``value`` is the rate of ``policy``, and ``upper`` a certified upper
+    bound on the horizon-N optimum."""
 
     value: float
     horizon: int
@@ -267,50 +272,35 @@ class CapacityEstimate:
     state_mode: str  # "fixed" | "min" | "max"
     policy: CausalPolicy | None = None
     diagnostics: dict = field(default_factory=dict)
+    upper: float = np.inf
 
 
 def optimize_rate(
     u: UnifilarChannel, s0: int, horizon: int, cfg: OptimizerSettings | None = None
 ) -> CapacityEstimate:
-    """Multi-start gradient ascent over causal policies from a fixed initial state.
+    """Blahut-Arimoto over causal policies from a fixed initial state.
 
-    Start 0 is the uniform policy, so the result is never below the
-    uniform-iid baseline; remaining starts use seeded random logits. The
-    reported value is the ascent's own objective at the best logits, which
-    is exactly ``evaluate_rate`` of the returned policy's path law.
+    The run starts at the uniform policy, so the result is never below the
+    uniform-iid baseline, and stops once upper - value < ``cfg.tol`` or
+    after ``cfg.max_iters`` updates. The rate is concave in
+    p(x^N || y^{N-1}), which enters the path law linearly, so the rate
+    linearized at any policy, maximized over deterministic causal
+    policies, bounds the optimum from above.
     """
     cfg = cfg or OptimizerSettings()
     model = _PathModel(u, s0, horizon)
-
-    best = None
-    total_iters = 0
-    for restart in range(max(1, cfg.restarts)):
-        if restart == 0:
-            theta0 = np.zeros(model.theta_shape)
-        else:
-            rng = np.random.default_rng([cfg.seed, restart])
-            theta0 = rng.normal(0.0, _INIT_SCALE, model.theta_shape)
-        theta, value, iters, grad_norm, converged = _ascend(model, theta0, cfg)
-        total_iters += iters
-        if best is None or value > best[1]:
-            best = (theta, value, restart, grad_norm, converged)
-    theta, value, best_restart, grad_norm, converged = best
-
-    pi = model.softmax(theta)
-    policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pi[rows] for rows in model.steps))
+    theta = np.full(model.theta_shape, -np.log(u.x_size))
+    theta, value, upper, iters = _ascend(model, theta, cfg)
+    pi = np.exp(theta)
+    policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pi[:, c].T for c in model.steps))
     return CapacityEstimate(
         value=value,
         horizon=horizon,
         initial_state=s0,
         state_mode="fixed",
         policy=policy,
-        diagnostics={
-            "restarts": max(1, cfg.restarts),
-            "best_restart": best_restart,
-            "iterations": total_iters,
-            "final_grad_norm": grad_norm,
-            "converged": converged,
-        },
+        diagnostics={"iterations": iters, "converged": upper - value < cfg.tol},
+        upper=upper,
     )
 
 
@@ -333,13 +323,21 @@ class FiniteNBracket:
 def finite_n_bracket(
     u: UnifilarChannel, horizon: int, cfg: OptimizerSettings | None = None
 ) -> FiniteNBracket:
-    """Run the estimator once per initial state and report the spread."""
+    """Run the estimator once per initial state and report the spread.
+
+    The min (max) over states of the optima lies between the min (max) of
+    the per-state values and the min (max) of the per-state upper bounds.
+    """
+    cfg = cfg or OptimizerSettings()
     per_state = tuple(optimize_rate(u, s0, horizon, cfg) for s0 in range(u.s_size))
-    lo = min(per_state, key=lambda e: (e.value, e.initial_state))
-    hi = max(per_state, key=lambda e: (e.value, -e.initial_state))
-    low = CapacityEstimate(lo.value, horizon, lo.initial_state, "min", lo.policy, lo.diagnostics)
-    high = CapacityEstimate(hi.value, horizon, hi.initial_state, "max", hi.policy, hi.diagnostics)
-    return FiniteNBracket(horizon=horizon, per_state=per_state, low=low, high=high)
+    uppers = [e.upper for e in per_state]
+
+    def extreme(pick, mode):  # ties go to the lowest state
+        est, upper = pick(per_state, key=lambda e: e.value), pick(uppers)
+        diagnostics = {**est.diagnostics, "converged": upper - est.value < cfg.tol}
+        return replace(est, state_mode=mode, upper=upper, diagnostics=diagnostics)
+
+    return FiniteNBracket(horizon, per_state, extreme(min, "min"), extreme(max, "max"))
 
 
 @dataclass(frozen=True)

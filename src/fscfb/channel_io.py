@@ -24,6 +24,8 @@ from .rational import as_fraction
 FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
 
+# "restarts" is still read, for files written for the old multi-start
+# optimizer, and ignored with a warning
 OPTIMIZER_KEYS = ("restarts", "max_iters", "tol", "seed")
 
 

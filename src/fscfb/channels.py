@@ -133,6 +133,8 @@ class StateBeliefTable:
             raise ShapeError("state belief must be a vector over states")
         if not abs(values.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValidationError(f"state belief sums to {values.sum():.17g}, expected 1")
+        if not np.all(values >= 0):  # written so that NaN fails it
+            raise ValidationError("state belief has negative or NaN entries")
         object.__setattr__(self, "values", _frozen(values))
 
 

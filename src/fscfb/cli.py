@@ -53,6 +53,7 @@ from .reduction import (
     lambda_double_sequence,
 )
 
+DEFAULT_SEED = 0
 GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "extend-states")
 
 
@@ -127,25 +128,24 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _resolve_settings(args, file_block: dict | None = None):
+    """Optimizer settings and report seed: flags over the channel file's
+    optimizer block over the defaults. ``restarts`` from either source is
+    ignored with a warning: the solver is deterministic and runs once."""
     base = OptimizerSettings()
-    merged = {
-        "restarts": base.restarts,
-        "max_iters": base.max_iters,
-        "tol": base.tol,
-        "seed": base.seed,
-    }
-    merged.update(file_block or {})
+    merged = {"max_iters": base.max_iters, "tol": base.tol, "seed": DEFAULT_SEED}
+    block = dict(file_block or {})
+    if "restarts" in block:
+        del block["restarts"]
+        print("warning: the channel file's optimizer.restarts is ignored", file=sys.stderr)
+    if getattr(args, "restarts", None) is not None:
+        print("warning: --restarts is ignored", file=sys.stderr)
+    merged.update(block)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    cfg = OptimizerSettings(
-        restarts=int(merged["restarts"]),
-        max_iters=int(merged["max_iters"]),
-        tol=float(merged["tol"]),
-        seed=int(merged["seed"]),
-    )
-    return cfg
+    cfg = OptimizerSettings(max_iters=int(merged["max_iters"]), tol=float(merged["tol"]))
+    return cfg, int(merged["seed"])
 
 
 def _load_unifilar(path):
@@ -189,16 +189,15 @@ def _estimate_row(n, s0_label, est):
         "n": n,
         "s0": s0_label,
         "rate": est.value,
-        "converged": d.get("converged", True),
-        "restarts": d.get("restarts", 0),
-        "iterations": d.get("iterations", 0),
-        "grad_norm": d.get("final_grad_norm", 0.0),
+        "converged": d["converged"],
+        "iterations": d["iterations"],
+        "gap": est.upper - est.value,
     }
 
 
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
-    cfg = _resolve_settings(args, loaded.optimizer)
+    cfg, seed = _resolve_settings(args, loaded.optimizer)
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     all_states = args.all_states or (args.s0 is None and loaded.s0 is None)
@@ -216,10 +215,8 @@ def cmd_capacity(args):
             s0 = args.s0 if args.s0 is not None else loaded.s0
             est = optimize_rate(u, s0, n, cfg)
             rows.append(_estimate_row(n, str(s0), est))
-    diags["optimizer"] = (
-        f"restarts={cfg.restarts} max_iters={cfg.max_iters} tol={cfg.tol:g} seed={cfg.seed}"
-    )
-    return rows, diags, _digest_file(args.channel), cfg.seed
+    diags["optimizer"] = f"max_iters={cfg.max_iters} tol={cfg.tol:g}"
+    return rows, diags, _digest_file(args.channel), seed
 
 
 def cmd_directed_info(args):
@@ -306,7 +303,7 @@ def cmd_gallery(args):
 def cmd_discontinuity_demo(args):
     eps = as_fraction(args.eps)
     ks = [int(tok) for tok in args.k_list.split(",") if tok]
-    cfg = _resolve_settings(args)
+    cfg, seed = _resolve_settings(args)
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
@@ -331,7 +328,7 @@ def cmd_discontinuity_demo(args):
         "note": "limit row uses closed forms; finite k rows use the horizon-n estimator",
         "n": args.n,
     }
-    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}"), cfg.seed
+    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}"), seed
 
 
 def _parse_mock(spec: str):
@@ -398,7 +395,7 @@ def _add_output_flags(sp):
 
 
 def _add_optimizer_flags(sp):
-    sp.add_argument("--restarts", type=int, default=None)
+    sp.add_argument("--restarts", type=int, default=None, help="ignored; kept for old scripts")
     sp.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     sp.add_argument("--tol", type=float, default=None)
 
@@ -502,7 +499,7 @@ def main(argv=None) -> int:
     if resolved:
         seed = resolved[0]
     else:
-        seed = args.seed if args.seed is not None else OptimizerSettings().seed
+        seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = {
         "command": ["fscfb"] + argv,
         "input_digest": digest,

@@ -110,6 +110,8 @@ class CausalKernel:
                     f"step {n} conditional at history {tuple(int(i) for i in bad)} "
                     f"sums to {sums[tuple(bad)]:.17g}"
                 )
+            if not np.all(t >= 0):  # written so that NaN fails it
+                raise ValidationError(f"step {n} has negative or NaN entries")
             t = np.array(t, copy=True)
             t.flags.writeable = False
             frozen.append(t)
@@ -202,15 +204,17 @@ def directed_information(joint: JointLaw, n_steps: int) -> float:
         b = a.sum(axis=-1, keepdims=True)              # p(x^n, y^{n-1})
         c = a.sum(axis=tuple(range(n)), keepdims=True)  # p(y^n)
         d = c.sum(axis=-1, keepdims=True)              # p(y^{n-1})
-        mask = a > 0
-        # p(x^n,y^n) p(y^{n-1}) / (p(x^n,y^{n-1}) p(y^n)) as a quotient of two
-        # conditionals in (0, 1] where a > 0: the products a*d and b*c
-        # underflow to 0/0 once a history's probability nears 1e-160
-        y_cond = np.divide(c, d, out=np.ones_like(c), where=d > 0)
-        ratio = np.ones_like(a)
-        np.divide(a, b, out=ratio, where=mask)
-        np.divide(ratio, y_cond, out=ratio, where=mask)
-        total += float((a[mask] * np.log2(ratio[mask])).sum())
+        # log2 of p(x^n,y^n) p(y^{n-1}) / (p(x^n,y^{n-1}) p(y^n)) as the
+        # difference of two conditionals' logs, each conditional in (0, 1]
+        # where a > 0: the products a*d and b*c underflow to 0/0 once a
+        # history's probability nears 1e-160, and the quotient of the two
+        # conditionals overflows when p(y_n | y^{n-1}) is subnormal
+        y_cond = np.divide(c, d, out=np.ones_like(c), where=c > 0)
+        log_ratio = np.ones_like(a)
+        np.divide(a, b, out=log_ratio, where=a > 0)
+        np.log2(log_ratio, out=log_ratio)
+        log_ratio -= np.log2(y_cond)  # finite everywhere; a = 0 zeroes the masked terms
+        total += float((a * log_ratio).sum())
         total_entdiff += _plogp(c) - _plogp(d) - _plogp(a) + _plogp(b)
     if not np.isfinite(total) or abs(total - total_entdiff) > CROSS_CHECK_TOL:
         raise FscError(

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscfb import (
     CausalPolicy,
@@ -15,13 +17,15 @@ from fscfb import (
     directed_information,
     dmc_capacity,
     evaluate_rate,
+    extend_states,
     finite_n_bracket,
+    inverse_k_pair,
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
     z_channel_closed_form,
 )
-from fscfb.capacity import _PathModel, _ascend
+from fscfb.capacity import _PathModel, _ascend, _path_rate
 from conftest import brute_directed_info, brute_joint, rand_policy, rand_unifilar
 
 C_Z_QUARTER = 0.5582386267373455
@@ -29,7 +33,7 @@ P0_QUARTER = 0.42782559679176746
 BSC_QUARTER = 0.18872187554086717   # 1 - H2(1/4)
 BSC_011 = 0.500084041835472         # 1 - H2(0.11)
 
-FAST = OptimizerSettings(restarts=2)
+FAST = OptimizerSettings()
 
 
 def single_state(w):
@@ -151,13 +155,42 @@ def test_evaluate_rate_shape_guard():
         evaluate_rate(u, 0, CausalPolicy.uniform(3, 2, 2))
 
 
+def log_table(pol):
+    """The model's x-major log-policy table of a CausalPolicy."""
+    return np.log(np.concatenate(pol.steps)).T
+
+
+def path_law(u, s0, pol):
+    """The brute-force joint, flattened in the model's (x_1, y_1, ..., x_N, y_N) path order."""
+    n = pol.horizon
+    joint = brute_joint(u, s0, pol)
+    return joint.transpose([k for i in range(n) for k in (i, n + i)]).ravel()
+
+
 def test_path_model_objective_matches_evaluate_rate(rng):
     u = mixing_pair(0.25, 0.125).channel
     model = _PathModel(u, 0, 3)
     pol = rand_policy(rng, 2, 2, 3)
-    fast, _, _ = model.objective(np.concatenate(pol.steps))
-    # the same factors multiplied in the same order: equal to the bit
-    assert fast == evaluate_rate(u, 0, pol)
+    value, exact = model.forward(log_table(pol))
+    # the factors multiplied as a sum of logs, not in a product
+    assert exact
+    assert value == pytest.approx(evaluate_rate(u, 0, pol), abs=1e-14)
+    # z = ln P(x^N | y^N) and L = log2 Wseq - log2 Q(y^N) against the brute-force joint
+    prob = path_law(u, 0, pol)
+    q = np.bincount(model.yidx, weights=prob)[model.yidx]
+    z, loss = model.buf
+    live = prob > 0
+    assert np.allclose(z[live], np.log(prob[live] / q[live]), rtol=0, atol=1e-12)
+    assert np.allclose(loss[live], np.log2(model.wseq[live] / q[live]), rtol=0, atol=1e-12)
+
+
+def test_path_model_flags_outputs_the_policy_cannot_reach():
+    # a noiseless channel whose policy all but never sends 1: Q(1) underflows
+    # to 0 though a path reaches it, so L is not the gradient there
+    u = single_state(np.eye(2))
+    model = _PathModel(u, 0, 1)
+    assert model.forward(np.log([[0.5], [0.5]]))[1]
+    assert not model.forward(np.array([[0.0], [-1000.0]]))[1]
 
 
 @pytest.mark.parametrize(
@@ -168,26 +201,26 @@ def test_path_model_objective_matches_evaluate_rate(rng):
     ],
 )
 def test_gradient_matches_finite_differences(rng, builder):
+    """L is the rate's gradient along every move between causal path laws:
+    the upper bound, the best linearized rate, rests on it."""
     u = builder()
     model = _PathModel(u, 0, 2)
-    h = 1e-6
-    thetas = [rng.normal(0, 1.0, model.theta_shape) for _ in range(20)]
-    # and the logits an ascent from a random start returns
-    start = rng.normal(0, 1.0, model.theta_shape)
-    thetas.append(_ascend(model, start, OptimizerSettings(max_iters=300))[0])
-    for theta in thetas:
-        pi = model.softmax(theta)
-        _, prob, loss = model.objective(pi)
-        grad = model.gradient(pi, prob, loss)
-        worst = 0.0
-        for idx in np.ndindex(theta.shape):
-            t = theta.copy()
-            t[idx] += h
-            up = model.objective_at(t)
-            t[idx] -= 2 * h
-            down = model.objective_at(t)
-            worst = max(worst, abs((up - down) / (2 * h) - grad[idx]))
-        assert worst <= 1e-5
+    h = 1e-5
+    policies = [rand_policy(rng, 2, 2, 2) for _ in range(20)]
+    # and the policy a capped solve returns
+    uniform = np.full(model.theta_shape, -np.log(2))
+    theta = _ascend(model, uniform, OptimizerSettings(max_iters=5))[0]
+    policies.append(CausalPolicy(2, 2, 2, tuple(np.exp(theta[:, c]).T for c in model.steps)))
+    for pol in policies:
+        model.forward(log_table(pol))
+        loss = model.buf[1].copy()
+        prob = path_law(u, 0, pol)
+        move = path_law(u, 0, rand_policy(rng, 2, 2, 2)) - prob
+
+        def rate(t):
+            return _path_rate(prob + t * move, model.logw, model.yidx, 2, 2)[0]
+
+        assert (rate(h) - rate(-h)) / (2 * h) == pytest.approx(move @ loss / 2, abs=1e-7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -238,6 +271,13 @@ def test_optimize_horizon_guard():
         optimize_rate(u, 0, 7, OptimizerSettings())
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_optimize_rejects_horizons_below_one(horizon):
+    u = noiseless_z_pair(0.25).channel
+    with pytest.raises(ValidationError, match="horizon"):
+        optimize_rate(u, 0, horizon)
+
+
 def test_optimize_is_deterministic():
     u = mixing_pair(0.25, 0.125).channel
     a = optimize_rate(u, 0, 2, FAST)
@@ -258,30 +298,87 @@ def test_optimize_trapdoor_channel_approaches_known_limit():
     assert values[-1] > 0.62  # within 0.08 bits of the limit by N = 4
 
 
-# (channel, s0, N) -> (iterations, final_grad_norm, value) of one capped run
+# (channel, s0, N) -> the value that 300 iterations of the softmax ascent,
+# the solver before Blahut-Arimoto, reported: a rate some policy reaches
 GOLDEN_CELLS = {
-    "mixing": (lambda: mixing_pair(0.25, 0.125).channel, 0, 2,
-               (300, 3.6095870116353845e-05, 0.4564106311455448)),
-    "trapdoor": (trapdoor, 0, 3, (300, 7.879806068623157e-06, 0.5962220170565199)),
-    "noiseless-z": (lambda: noiseless_z_pair(0.25).channel, 1, 2,
-                    (15, 7.975736460164029e-10, 0.5582386267373455)),
+    "mixing": (lambda: mixing_pair(0.25, 0.125).channel, 0, 2, 0.4564106311455448),
+    "trapdoor": (trapdoor, 0, 3, 0.5962220170565199),
+    "noiseless-z": (lambda: noiseless_z_pair(0.25).channel, 1, 2, 0.5582386267373455),
 }
-GOLDEN = OptimizerSettings(restarts=1, max_iters=300)
+GOLDEN = OptimizerSettings(max_iters=300)
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
-def test_optimize_golden_trajectory(cell):
-    """The Barzilai-Borwein softmax ascent's exact trajectory on small cells.
-
-    The values were recorded before the per-step logit tables became one flat
-    table; that rewrite keeps the arithmetic and so every bit. The reported
-    value is the ascent's own path-table objective at the best logits. An
-    optimizer that replaces the ascent replaces this test.
-    """
-    build, s0, n, want = GOLDEN_CELLS[cell]
+def test_optimize_bracket_against_golden_value(cell):
+    """The recorded value is the rate of a policy, so the certified upper
+    bound lies above it, and the rate found is not below it."""
+    build, s0, n, old = GOLDEN_CELLS[cell]
     est = optimize_rate(build(), s0, n, GOLDEN)
-    d = est.diagnostics
-    assert (d["iterations"], d["final_grad_norm"], est.value) == want
+    assert est.diagnostics["converged"]
+    assert est.value >= old - 1e-12
+    assert est.upper >= old
+    assert est.upper - est.value < GOLDEN.tol
+
+
+GALLERY = {
+    "noiseless-z": lambda: noiseless_z_pair(0.25).channel,
+    "mixing": lambda: mixing_pair(0.25, 0.125).channel,
+    "inverse-k": lambda: inverse_k_pair(0.25, 4).channel,
+    "extend-states": lambda: extend_states(mixing_pair(0.25, 0.125), 3).channel,
+    "trapdoor": trapdoor,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_optimize_bracket_closes_at_small_horizons(name):
+    u = GALLERY[name]()
+    for n in range(1, 5):
+        for s0 in range(u.s_size):
+            est = optimize_rate(u, s0, n)
+            assert est.diagnostics["converged"]
+            assert 0.0 <= est.upper - est.value <= 1e-9
+
+
+def test_optimize_iteration_cap_leaves_the_bracket_open():
+    u = mixing_pair(0.25, 0.125).channel
+    cfg = OptimizerSettings(max_iters=3)
+    est = optimize_rate(u, 0, 2, cfg)
+    assert est.diagnostics["iterations"] == 3
+    assert not est.diagnostics["converged"]
+    assert est.upper - est.value > cfg.tol
+
+
+@st.composite
+def unifilar_cells(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_size = draw(st.integers(1, 3))
+    x_size = draw(st.integers(2, 3))
+    y_size = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3 if x_size * y_size == 4 else 2))
+    u = UnifilarChannel(
+        stochastic(rng, (s_size, x_size, y_size), zeros=draw(st.booleans())),
+        rng.integers(0, s_size, size=(s_size, x_size, y_size)),
+    )
+    return rng, u, int(rng.integers(0, s_size)), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(unifilar_cells())
+def test_optimize_bracket_is_certified(cell):
+    rng, u, s0, n = cell
+    est = optimize_rate(u, s0, n, OptimizerSettings(max_iters=200))
+    # the lower end is the rate of the returned policy
+    assert est.value == pytest.approx(evaluate_rate(u, s0, est.policy), abs=1e-12)
+    assert est.upper >= est.value
+    # the upper end lies above the rate of every policy: full, sparse and deterministic ones
+    x, y = u.x_size, u.y_size
+    for zeros in (False, True):
+        pol = CausalPolicy(n, x, y, tuple(
+            stochastic(rng, ((x * y) ** k, x), zeros=zeros) for k in range(n)
+        ))
+        assert evaluate_rate(u, s0, pol) <= est.upper + 1e-12
+    picks = [np.eye(x)[rng.integers(0, x, size=(x * y) ** k)] for k in range(n)]
+    assert evaluate_rate(u, s0, CausalPolicy(n, x, y, tuple(picks))) <= est.upper + 1e-12
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
@@ -316,6 +413,11 @@ def test_finite_n_bracket_frozen_family():
     assert br.low.value <= br.high.value
     assert br.bracket_only
     assert br.low.state_mode == "min" and br.high.state_mode == "max"
+    # the min and max over states of the optima lie in these brackets
+    uppers = [est.upper for est in br.per_state]
+    assert (br.low.upper, br.high.upper) == (min(uppers), max(uppers))
+    for est in (br.low, br.high):
+        assert est.diagnostics["converged"] == (est.upper - est.value < FAST.tol)
 
 
 def test_finite_n_bracket_mixing_states_agree():

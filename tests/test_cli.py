@@ -327,16 +327,21 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     path.write_text(
         dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer={"restarts": 2, "seed": 9})
     )
-    code, out, _ = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
+    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
     doc = json.loads(out)
     assert doc["seed"] == 9  # file block resolved
-    assert doc["rows"][0]["restarts"] == 2
-    assert doc["rows"][0]["s0"] == "0"  # file s0 picked up
+    row = doc["rows"][0]
+    assert "restarts" not in row  # the old key is read, ignored and named on stderr
+    assert err.count("restarts is ignored") == 1
+    assert row["converged"] and 0.0 <= row["gap"] < 1e-10
+    assert row["s0"] == "0"  # file s0 picked up
     # CLI flags still win over the file block
-    code, out, _ = run_cli(
-        capsys, "capacity", str(path), "--n", "1", "--seed", "4", "--format", "json"
+    code, out, err = run_cli(
+        capsys, "capacity", str(path), "--n", "1", "--seed", "4", "--restarts", "3",
+        "--format", "json",
     )
     assert json.loads(out)["seed"] == 4
+    assert err.count("restarts is ignored") == 2  # once for the file, once for the flag
 
 
 def test_json_format_parses_and_echoes_seed(frozen_channel, capsys):

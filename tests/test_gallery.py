@@ -19,7 +19,7 @@ from fscfb import (
 )
 
 HALF = Fraction(1, 2)
-FAST = OptimizerSettings(restarts=2)
+FAST = OptimizerSettings()
 
 
 def exact_equal(a, b):

@@ -5,10 +5,10 @@ from fscfb import (
     CausalKernel,
     ContractViolationError,
     DomainError,
-    FscError,
     JointLaw,
     ResourceLimitError,
     ShapeError,
+    StateBeliefTable,
     ValidationError,
     binary_entropy,
     causal_product,
@@ -65,6 +65,20 @@ def test_kernel_validation():
 def test_validation_rejects_non_finite_entries(build, bad):
     with pytest.raises(ValidationError):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateBeliefTable(np.array([2.0, -1.0])),
+        lambda: CausalKernel(1, "inputs", 2, 2, (np.array([1.5, -0.5]),)),
+    ],
+    ids=["belief", "kernel"],
+)
+def test_validation_rejects_negative_entries(build):
+    # the rows sum to 1, so only the sign check can refuse them
+    with pytest.raises(ValidationError, match="negative"):
+        build()
 
 
 def test_causal_product_single_step():
@@ -169,11 +183,13 @@ def test_directed_information_bounds(rng):
         assert 0.0 <= di <= n * min(np.log2(2), np.log2(3)) + 1e-12
 
 
-def test_directed_information_non_finite_total_raises():
-    # log2 of 1 / 5e-324 overflows; the result must not come back as inf
+def test_directed_information_subnormal_joint():
+    # the ratio 1 / 5e-324 overflows; the difference of the two logs does not
     joint = JointLaw((2, 2), np.array([[5e-324, 0.0], [0.0, 1.0]]))
-    with np.errstate(over="ignore"), pytest.raises(FscError, match="directed information"):
-        directed_information(joint, 1)
+    with np.errstate(all="raise"):
+        di = directed_information(joint, 1)
+    # H(Y) - H(Y|X) = -5e-324 log2 5e-324 = 1074 * 5e-324
+    assert di == 1074 * 5e-324
 
 
 def test_directed_information_shape_guard():

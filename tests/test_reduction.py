@@ -19,7 +19,7 @@ from fscfb import (
     z_channel_closed_form,
 )
 
-FAST = OptimizerSettings(restarts=2)
+FAST = OptimizerSettings()
 
 PARITY = """
 # halts iff r0 is even
