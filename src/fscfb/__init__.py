@@ -15,6 +15,7 @@ from .capacity import (
     dmc_capacity,
     evaluate_rate,
     finite_n_bracket,
+    iid_rate,
     optimize_rate,
     z_channel_closed_form,
 )
@@ -25,6 +26,7 @@ from .channels import (
     UnifilarChannel,
     compose_unifilar,
     indecomposability_gap,
+    indecomposability_gaps,
     n_fold_law,
     state_marginal,
     strongly_connected,

@@ -90,29 +90,34 @@ class CausalPolicy:
         return sum(pair ** (n - 1) * (self.x_size - 1) for n in range(1, self.horizon + 1))
 
 
+def _check_cell(u: UnifilarChannel, s0: int, horizon: int, entries, limit: int, what: str):
+    """Refuse, before anything is allocated, a horizon below 1, an initial
+    state outside the channel and tables of more than ``limit`` ``what``."""
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    if not 0 <= s0 < u.s_size:
+        raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
+    if entries > limit:
+        raise ResourceLimitError(
+            f"horizon {horizon} needs {entries} {what}, over the limit of {limit}",
+            limit=limit,
+        )
+
+
 def _path_tables(
     u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES, factors=None
 ):
     """Wseq, log2 Wseq and the output-sequence index of every (x^N, y^N) path.
 
     Paths are numbered like the policy's flat histories: the (x_n, y_n)
-    pairs most-recent-last, each pair as x*|Y| + y. Horizons below 1 or with
-    more than ``limit`` paths are refused before anything is allocated.
+    pairs most-recent-last, each pair as x*|Y| + y. Bad horizons and states,
+    and more than ``limit`` paths, are refused before anything is allocated.
     Each step's channel factor W_n(y_n | x_n, s_{n-1}), shaped (histories
     of length n-1, |X|, |Y|), is appended to ``factors`` if that is a list
     (at binary N = 10 they would add a quarter to evaluate_rate's peak).
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= s0 < u.s_size:
-        raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
     x, y = u.x_size, u.y_size
-    paths = (x * y) ** horizon
-    if paths > limit:
-        raise ResourceLimitError(
-            f"horizon {horizon} needs {paths} trajectories, over the limit of {limit}",
-            limit=limit,
-        )
+    _check_cell(u, s0, horizon, (x * y) ** horizon, limit, "trajectories")
     wseq = np.ones(1)
     state = np.array([s0])
     yidx = np.zeros(1, dtype=np.int64)
@@ -151,8 +156,48 @@ def evaluate_rate(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> float:
     return value
 
 
+def iid_rate(u: UnifilarChannel, s0: int, dist, horizon: int) -> float:
+    """(1/N) I(X^N -> Y^N | s_0) of inputs drawn iid from ``dist``, in bits
+    per channel use.
+
+    Inputs that ignore the past need no path tables: the forward recursion
+    runs over the lattice nodes (y^n, s_n), alpha_n(y^n, s_n) = P(y^n, s_n),
+    one step at a time through g(s_{n-1}, y_n, s_n) = sum_x p(x)
+    W(y_n | x, s_{n-1}) over the x with f(s_{n-1}, x, y_n) = s_n. The rate is
+    (E log2 Wseq - sum Q log2 Q) / N with Q(y^N) = sum_s alpha_N, and
+    E log2 Wseq is summed step by step over the state marginal. The last
+    step spans |S||X||Y|^N transitions, which the joint-table guard bounds.
+    """
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (u.x_size,):
+        raise ShapeError(f"input law has shape {dist.shape}, expected ({u.x_size},)")
+    if not (abs(dist.sum() - 1.0) <= POLICY_ROW_TOL and np.all(dist >= 0)):  # NaN fails it
+        raise ValidationError(f"input law {dist.tolist()} is not a distribution")
+    s, x, y = u.w.shape
+    _check_cell(u, s0, horizon, s * x * y**horizon, MAX_JOINT_ENTRIES, "lattice transitions")
+    mass = u.w * dist[:, None]  # p(x) W(y | x, s), indexed [s, x, y]
+    elogw = (mass * np.log2(np.where(mass > 0, u.w, 1.0))).sum(axis=(1, 2))
+    sp, _, yy = np.indices(u.w.shape)
+    step = np.bincount(((sp * y + yy) * s + u.f).ravel(), weights=mass.ravel(), minlength=s * y * s)
+    step = step.reshape(s, y * s)
+    alpha = np.zeros((1, s))  # rows y^n, columns s_n
+    alpha[0, s0] = 1.0
+    expected = 0.0
+    for _ in range(horizon):
+        expected += float(alpha.sum(axis=0) @ elogw)
+        alpha = (alpha @ step).reshape(-1, s)
+    q = alpha.sum(axis=1)
+    q = q[q > 0]
+    value = (expected - float(q @ np.log2(q))) / horizon
+    if not np.isfinite(value):
+        raise FscError(f"directed information is not finite: {value!r}")
+    return value
+
+
 def _logsumexp(t):
     """ln sum_x exp t[x, h] for every column h."""
+    if len(t) == 2:
+        return np.logaddexp(t[0], t[1])  # one ufunc in place of six
     top = t.max(axis=0)
     return np.log(np.exp(t - top).sum(axis=0)) + top
 

@@ -8,7 +8,6 @@ next-state table f(s_prev, x, y).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .errors import ResourceLimitError, ShapeError, ValidationError
 ROW_SUM_TOL = 1e-12       # stochasticity tolerance at validation time
 COMPOSED_SUM_TOL = 1e-10  # after n-fold composition (accumulated error)
 INDECOMP_BUDGET = 10**7   # |X|^n * |S|^2 entries an exhaustive sweep may touch
+_GAP_BLOCK = 2**20        # floats in one level of the sweep before it goes prefix by prefix
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -208,30 +208,51 @@ def state_marginal(c: FiniteStateChannel, x_seq, s0: int, n: int) -> StateBelief
     return StateBeliefTable(table.sum(axis=tuple(range(table.ndim - 1))))
 
 
-def indecomposability_gap(c: FiniteStateChannel, n: int, budget: int = INDECOMP_BUDGET) -> float:
-    """Worst-case initial-state memory after n steps.
+def indecomposability_gaps(
+    c: FiniteStateChannel, n: int, budget: int = INDECOMP_BUDGET
+) -> list[float]:
+    """Worst-case initial-state memory after each of 1..n steps.
 
-    Returns max over (s_n, x^n, s_0, s_0') of |q^n(s_n|x^n,s_0) - q^n(s_n|x^n,s_0')|,
-    sweeping every input sequence exhaustively. Refuses horizons whose sweep
-    would touch more than ``budget`` table entries.
+    Entry k-1 is max over (s_k, x^k, s_0, s_0') of
+    |q^k(s_k|x^k,s_0) - q^k(s_k|x^k,s_0')|, swept exhaustively over every
+    input sequence. One level recursion serves every horizon: the state laws
+    of all x^k, rows s_0, are Q_k = Q_{k-1} @ t_x, and the pairwise maximum
+    is the largest spread max_{s_0} - min_{s_0} over (x^k, s_k). Levels of
+    more than ``_GAP_BLOCK`` floats are swept one input prefix at a time.
+    Refuses horizons whose sweep would touch more than ``budget`` table
+    entries.
     """
     if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
-    cost = (c.x_size**n) * c.s_size * c.s_size
+        raise ValidationError(f"horizon must be >= 1, got {n}")
+    s, x = c.s_size, c.x_size
+    cost = (x**n) * s * s
     if cost > budget:
         raise ResourceLimitError(
             f"exhaustive sweep needs {cost} entries, over the budget of {budget}",
             limit=budget,
         )
-    # t[s_prev, x, s_next]: one-step state kernel with outputs summed out
-    t = c.law.sum(axis=2)
-    gap = 0.0
-    for x_seq in itertools.product(range(c.x_size), repeat=n):
-        q = np.eye(c.s_size)  # rows: conditional state law per initial state
-        for x in x_seq:
-            q = q @ t[:, x, :]
-        gap = max(gap, float(np.abs(q[:, None, :] - q[None, :, :]).max()))
-    return gap
+    # t[x, s_prev, s_next]: one-step state kernel with outputs summed out
+    t = c.law.sum(axis=2).transpose(1, 0, 2)
+    gaps = [0.0] * n
+
+    def sweep(q, first, last):
+        for k in range(first, last):
+            q = (q[:, None] @ t).reshape(-1, s, s)
+            gaps[k] = max(gaps[k], float((q.max(axis=1) - q.min(axis=1)).max()))
+        return q
+
+    deep = 1  # levels swept per prefix
+    while deep < n and x ** (deep + 1) * s * s <= _GAP_BLOCK:
+        deep += 1
+    for prefix in sweep(np.eye(s)[None], 0, n - deep):
+        sweep(prefix[None], n - deep, n)
+    return gaps
+
+
+def indecomposability_gap(c: FiniteStateChannel, n: int, budget: int = INDECOMP_BUDGET) -> float:
+    """Worst-case initial-state memory after n steps: the last of
+    ``indecomposability_gaps(c, n, budget)``."""
+    return indecomposability_gaps(c, n, budget)[-1]
 
 
 def strongly_connected(c: FiniteStateChannel) -> ConnectivityReport:

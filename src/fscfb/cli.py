@@ -22,17 +22,17 @@ import numpy as np
 
 from . import channel_io
 from .capacity import (
-    CausalPolicy,
     OptimizerSettings,
     dmc_capacity,
-    evaluate_rate,
     finite_n_bracket,
+    iid_rate,
     optimize_rate,
     z_channel_closed_form,
 )
 from .channels import (
     compose_unifilar,
     indecomposability_gap,
+    indecomposability_gaps,
     strongly_connected,
     tv_distance,
 )
@@ -227,12 +227,11 @@ def cmd_directed_info(args):
         dist = np.array([float(as_fraction(tok)) for tok in args.dist.split(",")])
         if dist.size != u.x_size or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
             raise DomainError(f"--dist must be a distribution over {u.x_size} inputs")
-        policy = CausalPolicy.iid(dist, u.y_size, args.n)
         policy_name = "iid"
     else:
-        policy = CausalPolicy.uniform(u.x_size, u.y_size, args.n)
+        dist = np.full(u.x_size, 1.0 / u.x_size)
         policy_name = "uniform-iid"
-    rate = evaluate_rate(u, s0, policy)
+    rate = iid_rate(u, s0, dist, args.n)
     rows = [
         {
             "n": args.n,
@@ -366,8 +365,9 @@ def cmd_lambda_seq(args):
 def cmd_indecomp(args):
     loaded = channel_io.load_channel(args.channel)
     general = loaded.as_general()
+    gaps = indecomposability_gaps(general, args.n)
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
-    rows = [{"n": n, "gap": indecomposability_gap(general, n)} for n in horizons]
+    rows = [{"n": n, "gap": gaps[n - 1]} for n in horizons]
     return rows, {}, _digest_file(args.channel)
 
 

@@ -161,15 +161,19 @@ def effective_certificate(values) -> list:
     """Per-index effective-convergence check for a dyadic sequence.
 
     Entry M-1 (1-based M) is True when |values[m-1] - values[M-1]| < 2^(-M)
-    for every m >= M in the given range.
+    for every m >= M in the given range. One backward pass keeps the
+    suffix's largest and smallest value: every such m is within 2^(-M)
+    exactly when both of those are.
     """
     values = list(values)
     out = []
-    for big_m in range(1, len(values) + 1):
-        bound = Fraction(1, 2**big_m)
+    hi = lo = values[-1] if values else None
+    for big_m in range(len(values), 0, -1):
         ref = values[big_m - 1]
-        out.append(all(abs(v - ref) < bound for v in values[big_m - 1 :]))
-    return out
+        hi, lo = max(hi, ref), min(lo, ref)
+        bound = Fraction(1, 2**big_m)
+        out.append(hi - ref < bound and ref - lo < bound)
+    return out[::-1]
 
 
 @dataclass(frozen=True)

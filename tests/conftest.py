@@ -5,6 +5,7 @@ independent of the vectorized implementations they check.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,29 @@ def brute_directed_info(table, n_steps):
                 p * py_prev[ys[:-1]] / (pxy_prev[xs + ys[:-1]] * py[ys])
             )
     return total
+
+
+def brute_indecomp_gap(c, n):
+    """The state-memory gap after n steps, one input sequence at a time:
+    max over x^n of the largest |q^n(s_n|x^n,s_0) - q^n(s_n|x^n,s_0')|."""
+    t = c.law.sum(axis=2)
+    gap = 0.0
+    for x_seq in itertools.product(range(c.x_size), repeat=n):
+        q = np.eye(c.s_size)  # rows: conditional state law per initial state
+        for x in x_seq:
+            q = q @ t[:, x, :]
+        gap = max(gap, float(np.abs(q[:, None, :] - q[None, :, :]).max()))
+    return gap
+
+
+def brute_certificate(values):
+    """The effective-convergence certificate by comparing every pair."""
+    out = []
+    for big_m in range(1, len(values) + 1):
+        bound = Fraction(1, 2**big_m)
+        ref = values[big_m - 1]
+        out.append(all(abs(v - ref) < bound for v in values[big_m - 1 :]))
+    return out
 
 
 @pytest.fixture

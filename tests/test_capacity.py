@@ -19,6 +19,7 @@ from fscfb import (
     evaluate_rate,
     extend_states,
     finite_n_bracket,
+    iid_rate,
     inverse_k_pair,
     mixing_pair,
     noiseless_z_pair,
@@ -129,6 +130,60 @@ def test_evaluate_rate_guards_refuse_before_allocating(s0, horizon, error):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@st.composite
+def iid_cells(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_size = draw(st.integers(1, 3))
+    x_size = draw(st.integers(2, 3))
+    y_size = draw(st.integers(2, 3))
+    u = UnifilarChannel(
+        stochastic(rng, (s_size, x_size, y_size), zeros=draw(st.booleans())),
+        rng.integers(0, s_size, size=(s_size, x_size, y_size)),
+    )
+    dist = stochastic(rng, (x_size,), zeros=draw(st.booleans()))
+    return u, int(rng.integers(0, s_size)), dist, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(iid_cells())
+def test_iid_rate_matches_path_tables_and_brute_force(cell):
+    u, s0, dist, n = cell
+    pol = CausalPolicy.iid(dist, u.y_size, n)
+    rate = iid_rate(u, s0, dist, n)
+    assert rate == pytest.approx(evaluate_rate(u, s0, pol), abs=1e-12)
+    assert rate == pytest.approx(brute_directed_info(brute_joint(u, s0, pol), n) / n, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s0, dist, horizon, error",
+    [
+        (0, [0.5, 0.5], 19, ResourceLimitError),  # 2 * 2 * 2^19 > 4^10 transitions
+        (0, [0.5, 0.5], 0, ValidationError),
+        (2, [0.5, 0.5], 5, IndexError),
+        (-1, [0.5, 0.5], 5, IndexError),
+        (0, [0.5, 0.25, 0.25], 5, ShapeError),
+        (0, [0.5, 0.4], 5, ValidationError),
+        (0, [np.nan, np.nan], 5, ValidationError),
+    ],
+)
+def test_iid_rate_guards_refuse_before_allocating(s0, dist, horizon, error):
+    u = mixing_pair(0.25, 0.25).channel
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            iid_rate(u, s0, dist, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_iid_rate_reaches_the_lattice_limit():
+    # binary two-state: N = 18 is the largest horizon within 4^10 transitions
+    u = noiseless_z_pair(0.25).channel
+    assert iid_rate(u, 0, [0.5, 0.5], 18) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_rate_noiseless_uniform():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fscfb import (
     ValidationError,
     compose_unifilar,
     indecomposability_gap,
+    indecomposability_gaps,
     mixing_pair,
     n_fold_law,
     noiseless_z_pair,
@@ -19,7 +21,8 @@ from fscfb import (
     strongly_connected,
     tv_distance,
 )
-from conftest import brute_nfold, rand_fsc
+import fscfb.channels
+from conftest import brute_indecomp_gap, brute_nfold, rand_fsc
 
 
 EPS = 0.25
@@ -197,6 +200,42 @@ def test_indecomposability_budget():
     with pytest.raises(ResourceLimitError) as err:
         indecomposability_gap(c, 10, budget=100)
     assert err.value.limit == 100
+
+
+@pytest.mark.parametrize("block", [fscfb.channels._GAP_BLOCK, 64], ids=["one-pass", "prefixes"])
+def test_indecomposability_gaps_equal_the_per_sequence_loop(rng, monkeypatch, block):
+    # a 64-float block sends every level past the first few through the prefix sweep
+    monkeypatch.setattr(fscfb.channels, "_GAP_BLOCK", block)
+    for _ in range(12):
+        x_size = int(rng.integers(1, 4))
+        c = rand_fsc(rng, s_size=int(rng.integers(1, 5)), x_size=x_size,
+                     y_size=int(rng.integers(1, 4)))
+        n = 8 if x_size < 3 else 5
+        gaps = indecomposability_gaps(c, n)
+        assert gaps == [brute_indecomp_gap(c, k) for k in range(1, n + 1)]
+        assert indecomposability_gap(c, n) == gaps[-1]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_indecomposability_gap_rejects_horizons_below_one(n):
+    c = compose_unifilar(noiseless_z_pair(EPS).channel)
+    with pytest.raises(ValidationError):
+        indecomposability_gap(c, n)
+
+
+def test_indecomposability_sweep_memory_is_bounded(rng):
+    # 2 inputs, 6 states: n = 18 is the deepest sweep the budget admits
+    c = rand_fsc(rng, s_size=6, x_size=2)
+    with pytest.raises(ResourceLimitError):
+        indecomposability_gaps(c, 19)
+    tracemalloc.start()
+    try:
+        gaps = indecomposability_gaps(c, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gaps) == 18 and 0.0 <= gaps[-1] <= gaps[0]
+    assert peak < 32 * 2**20
 
 
 def test_strongly_connected_verdicts():

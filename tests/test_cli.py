@@ -206,6 +206,19 @@ def test_directed_info_with_dist(frozen_channel, capsys):
     assert float(row["rate"]) == pytest.approx(0.5582386267373455, abs=1e-9)
 
 
+def test_directed_info_past_the_path_tables(mixing_channel, capsys):
+    # 4^12 paths were over the joint-table guard; the lattice needs 2 * 2 * 2^12 transitions
+    code, out, _ = run_cli(
+        capsys, "directed-info", str(mixing_channel), "--n", "12", "--s0", "0", "--format", "csv"
+    )
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert 0.0 < float(row["rate"]) < 1.0
+    code, out, err = run_cli(capsys, "directed-info", str(mixing_channel), "--n", "19")
+    assert code == 2
+    assert "lattice transitions" in err and out == ""
+
+
 def test_dmc_capacity_command(frozen_channel, capsys):
     code, out, _ = run_cli(
         capsys, "dmc-capacity", str(frozen_channel), "--s0", "1", "--format", "csv"

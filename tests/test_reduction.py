@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fscfb import (
     CounterMachineOracle,
@@ -10,6 +12,7 @@ from fscfb import (
     OptimizerSettings,
     OracleError,
     capacity_gap,
+    effective_certificate,
     lambda_double_sequence,
     mixing_pair,
     noiseless_z_pair,
@@ -18,6 +21,7 @@ from fscfb import (
     threshold_stopper,
     z_channel_closed_form,
 )
+from conftest import brute_certificate
 
 FAST = OptimizerSettings()
 
@@ -62,6 +66,16 @@ def test_lambda_sequence_certificate(rng):
             bound = Fraction(1, 2**big_m)
             for m in range(big_m, 21):
                 assert abs(values[m - 1] - values[big_m - 1]) < bound
+
+
+dyadic = st.builds(lambda k, e: Fraction(k, 2**e), st.integers(-8, 8), st.integers(0, 40))
+
+
+@given(st.lists(dyadic, max_size=30) | st.builds(lambda v, n: [v] * n, dyadic, st.integers(0, 30)))
+@example([])
+@example([Fraction(1, 4)] * 5)
+def test_effective_certificate_equals_the_pairwise_check(values):
+    assert effective_certificate(values) == brute_certificate(values)
 
 
 class CountingOracle(FixedHaltingOracle):
