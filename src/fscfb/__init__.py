@@ -68,6 +68,7 @@ from .reduction import (
     capacity_gap,
     effective_certificate,
     lambda_double_sequence,
+    lambda_sequence,
     parse_program,
     run_bounded,
     threshold_stopper,

@@ -182,7 +182,7 @@ def n_fold_law(c: FiniteStateChannel, x_seq, s0: int, n: int) -> np.ndarray:
     intermediate state: P^n = sum_{s_{n-1}} P(y_n, s_n | x_n, s_{n-1}) P^{n-1}.
     """
     if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+        raise ValidationError(f"horizon must be >= 1, got {n}")
     xs = _check_symbols(c, x_seq, s0)
     if len(xs) != n:
         raise ShapeError(f"x_seq has length {len(xs)}, expected n = {n}")

@@ -50,7 +50,7 @@ from .reduction import (
     FixedHaltingOracle,
     NeverHaltingOracle,
     effective_certificate,
-    lambda_double_sequence,
+    lambda_sequence,
 )
 
 DEFAULT_SEED = 0
@@ -353,7 +353,7 @@ def cmd_lambda_seq(args):
     else:
         oracle = _parse_mock(args.mock)
         digest = _digest_params(f"mock={args.mock}")
-    values = [lambda_double_sequence(oracle, args.input, m) for m in range(1, args.m_max + 1)]
+    values = lambda_sequence(oracle, args.input, args.m_max)
     certs = effective_certificate(values)
     rows = [
         {"m": m, "lambda": lam, "certified": ok}
@@ -400,21 +400,14 @@ def _add_optimizer_flags(sp):
     sp.add_argument("--tol", type=float, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fscfb",
-        description="Unifilar finite-state channels with feedback: validation, "
-        "directed information, and finite-horizon capacity estimates.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("validate", help="check a channel file and report structure")
+def _validate_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, default=6, help="horizon for the state-memory gap")
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_validate, writes_report=True)
 
-    sp = sub.add_parser("capacity", help="finite-horizon feedback-rate estimate")
+
+def _capacity_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--s0", type=int, default=None)
@@ -424,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_capacity, writes_report=True)
 
-    sp = sub.add_parser("directed-info", help="directed information of an iid policy")
+
+def _directed_info_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--s0", type=int, default=None)
@@ -432,13 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_directed_info, writes_report=True)
 
-    sp = sub.add_parser("dmc-capacity", help="alternating-maximization capacity of one state")
+
+def _dmc_capacity_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--s0", type=int, default=None)
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_dmc_capacity, writes_report=True)
 
-    sp = sub.add_parser("gallery", help="write a constructed channel to a file")
+
+def _gallery_args(sp):
     sp.add_argument("name", choices=GALLERY_NAMES)
     sp.add_argument("--eps", default=None, required=True, help="rational like 1/4")
     sp.add_argument("--mix", default=None, help="rational in [0, 1/2]")
@@ -451,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(handler=cmd_gallery, writes_report=False)
 
-    sp = sub.add_parser(
-        "discontinuity-demo",
-        help="distance to the limit channel shrinks while its state gap persists",
-    )
+
+def _discontinuity_demo_args(sp):
     sp.add_argument("--eps", required=True)
     sp.add_argument("--k-list", default="2,4,8,16,32,64", dest="k_list")
     sp.add_argument("--n", type=int, default=4)
@@ -462,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_discontinuity_demo, writes_report=True)
 
-    sp = sub.add_parser("lambda-seq", help="dyadic halting sequence of a step-bounded oracle")
+
+def _lambda_seq_args(sp):
     sp.add_argument("--program", default=None, help="counter-machine program file")
     sp.add_argument("--mock", default=None, help="'never' or 'halt-at:K'")
     sp.add_argument("--input", type=int, required=True)
@@ -470,26 +465,65 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_lambda_seq, writes_report=True)
 
-    sp = sub.add_parser("indecomp", help="exhaustive initial-state memory gap")
+
+def _indecomp_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--sweep-n", action="store_true", dest="sweep_n")
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_indecomp, writes_report=True)
 
-    sp = sub.add_parser("connectivity", help="strong-connectivity verdict with witness")
+
+def _connectivity_args(sp):
     sp.add_argument("channel")
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_connectivity, writes_report=True)
 
+
+# name -> (help line, function that adds the subcommand's arguments), in help order
+SUBCOMMANDS = {
+    "validate": ("check a channel file and report structure", _validate_args),
+    "capacity": ("finite-horizon feedback-rate estimate", _capacity_args),
+    "directed-info": ("directed information of an iid policy", _directed_info_args),
+    "dmc-capacity": ("alternating-maximization capacity of one state", _dmc_capacity_args),
+    "gallery": ("write a constructed channel to a file", _gallery_args),
+    "discontinuity-demo": (
+        "distance to the limit channel shrinks while its state gap persists",
+        _discontinuity_demo_args,
+    ),
+    "lambda-seq": ("dyadic halting sequence of a step-bounded oracle", _lambda_seq_args),
+    "indecomp": ("exhaustive initial-state memory gap", _indecomp_args),
+    "connectivity": ("strong-connectivity verdict with witness", _connectivity_args),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with a subcommand name, only that subparser is built.
+
+    A one-subcommand parser still lists every name in the top-level usage,
+    which it prints with an unrecognized-argument error, so its messages
+    match the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fscfb",
+        description="Unifilar finite-state channels with feedback: validation, "
+        "directed information, and finite-horizon capacity estimates.",
+    )
+    # the full parser keeps argparse's own metavar: its errors name the action by it
+    metavar = None if subcommand is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, (help_text, add_args) in SUBCOMMANDS.items():
+        if subcommand in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # a call pays only for its own subparser; anything else gets the full tree
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+    args = parser.parse_args(argv)
     try:
         # handlers that resolve optimizer settings also return the seed they used
         rows, diagnostics, digest, *resolved = args.handler(args)

@@ -157,6 +157,18 @@ def lambda_double_sequence(oracle, n: int, m: int) -> Fraction:
     return Fraction(1, 2**lo)
 
 
+def lambda_sequence(oracle, n: int, m_max: int) -> list:
+    """[lambda_double_sequence(oracle, n, m) for m in 1..m_max] from one search.
+
+    Answers are monotone in m, so the search at m_max finds l = min(h, m_max)
+    for the first halting step h, and lambda(n, m) = 2^(-min(l, m)). A search
+    per m would take O(m_max^2) machine steps.
+    """
+    last = lambda_double_sequence(oracle, n, m_max)
+    halt = last.denominator.bit_length() - 1
+    return [Fraction(1, 2**m) for m in range(1, halt)] + [last] * (m_max - halt + 1)
+
+
 def effective_certificate(values) -> list:
     """Per-index effective-convergence check for a dyadic sequence.
 

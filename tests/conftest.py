@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fscfb import CausalPolicy, FiniteStateChannel, UnifilarChannel
+from fscfb import CausalPolicy, FiniteStateChannel, FixedHaltingOracle, UnifilarChannel
 
 
 def rand_fsc(rng, s_size=2, x_size=2, y_size=2):
@@ -113,6 +113,18 @@ def brute_certificate(values):
         ref = values[big_m - 1]
         out.append(all(abs(v - ref) < bound for v in values[big_m - 1 :]))
     return out
+
+
+class CountingOracle(FixedHaltingOracle):
+    """A mock oracle that counts the queries made of it."""
+
+    def __init__(self, times):
+        super().__init__(times)
+        self.queries = 0
+
+    def halted_within(self, n, m):
+        self.queries += 1
+        return super().halted_within(n, m)
 
 
 @pytest.fixture

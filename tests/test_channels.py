@@ -146,6 +146,14 @@ def test_n_fold_law_rejects_bad_symbols():
         n_fold_law(c, [0], 0, 2)
 
 
+def test_n_fold_law_and_state_marginal_reject_bad_horizons():
+    c = compose_unifilar(noiseless_z_pair(EPS).channel)
+    with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+        n_fold_law(c, [], 0, 0)
+    with pytest.raises(ValidationError, match="horizon must be >= 1, got -1"):
+        state_marginal(c, [], 0, -1)
+
+
 def test_state_marginal():
     c = compose_unifilar(noiseless_z_pair(EPS).channel)
     assert state_marginal(c, [0, 1, 0], 0, 3).values.tolist() == [1.0, 0.0]

@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from fscfb.cli import main
+import fscfb.cli
+from fscfb import (
+    CounterMachineOracle,
+    FixedHaltingOracle,
+    NeverHaltingOracle,
+    lambda_double_sequence,
+    parse_program,
+    run_bounded,
+)
+from fscfb.cli import SUBCOMMANDS, build_parser, main
+from conftest import CountingOracle
 
 PARITY = "jz r0 6\ndec r0\njz r0 5\ndec r0\njmp 0\njmp 5\nhalt\n"
 
@@ -284,6 +294,107 @@ def test_lambda_seq_json_renders_fractions(capsys):
     )
     doc = json.loads(out)
     assert [r["lambda"] for r in doc["rows"]] == ["1/2", "1/4", "1/4"]
+
+
+LAMBDA_M = 12
+LAMBDA_CASES = (
+    [(("--mock", f"halt-at:{k}"), 1, FixedHaltingOracle(k)) for k in range(1, LAMBDA_M + 2)]
+    + [(("--mock", "never"), 3, NeverHaltingOracle())]
+    + [(("--program", "{prog}"), n, CounterMachineOracle(PARITY)) for n in (2, 3)]
+)
+
+
+def counting_oracles(monkeypatch):
+    """Make the CLI build CountingOracles that answer as its own oracles would."""
+    made = []
+
+    def make(times):
+        made.append(CountingOracle(times))
+        return made[-1]
+
+    def program(text):
+        # queries stop at m = LAMBDA_M, so a run of that many steps decides them all
+        return make(lambda n: run_bounded(parse_program(text), n, LAMBDA_M))
+
+    monkeypatch.setattr(fscfb.cli, "FixedHaltingOracle", make)
+    monkeypatch.setattr(fscfb.cli, "NeverHaltingOracle", lambda: make({}))
+    monkeypatch.setattr(fscfb.cli, "CounterMachineOracle", program)
+    return made
+
+
+@pytest.mark.parametrize("source, n, oracle", LAMBDA_CASES)
+def test_lambda_seq_rows_come_from_one_halting_search(tmp_path, capsys, monkeypatch, source, n,
+                                                      oracle):
+    prog = tmp_path / "parity.cm"
+    prog.write_text(PARITY)
+    argv = ["lambda-seq", source[0], source[1].format(prog=prog), "--input", str(n),
+            "--m-max", str(LAMBDA_M), "--format", "json"]
+    expected = [str(lambda_double_sequence(oracle, n, m)) for m in range(1, LAMBDA_M + 1)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [r["lambda"] for r in json.loads(out)["rows"]] == expected
+    made = counting_oracles(monkeypatch)
+    code, counted, _ = run_cli(capsys, *argv)
+    assert counted == out
+    assert len(made) == 1
+    assert made[0].queries <= 1 + (LAMBDA_M - 1).bit_length()  # 1 + ceil(log2 M)
+
+
+@pytest.mark.parametrize("n, m_max", [(1, 0), (1, -3), (0, 0)])
+def test_lambda_seq_rejects_empty_sequences(capsys, n, m_max):
+    code, out, err = run_cli(
+        capsys, "lambda-seq", "--mock", "never", "--input", str(n), "--m-max", str(m_max)
+    )
+    assert code == 2
+    assert out == "" and "indices must be >= 1" in err
+
+
+def exit_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def spy_build_parser(monkeypatch):
+    built = []
+
+    def spy(subcommand=None):
+        built.append(subcommand)
+        return build_parser(subcommand)
+
+    monkeypatch.setattr(fscfb.cli, "build_parser", spy)
+    return built
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_one_subcommand_parser_reads_like_the_full_parser(capsys, monkeypatch, name):
+    # help, a missing required argument, and a stray token the top level rejects
+    for argv in ([name, "--help"], [name], [name, "x", "--no-such-flag"]):
+        full = exit_outcome(capsys, build_parser().parse_args, argv)
+        assert exit_outcome(capsys, build_parser(name).parse_args, argv) == full
+        built = spy_build_parser(monkeypatch)
+        assert exit_outcome(capsys, main, argv) == full
+        assert built == [name]
+    assert exit_outcome(capsys, main, [name, "--help"])[0] == 0
+    code, _, err = exit_outcome(capsys, main, [name])
+    assert code == 2 and "the following arguments are required" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--", "validate"]])
+def test_top_level_messages_come_from_the_full_parser(capsys, monkeypatch, argv):
+    full = exit_outcome(capsys, build_parser().parse_args, argv)
+    built = spy_build_parser(monkeypatch)
+    code, out, err = exit_outcome(capsys, main, argv)
+    assert (code, out, err) == full
+    assert built == [None]
+    assert code == (0 if argv == ["--help"] else 2)
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
+    if argv == []:
+        assert err.endswith("error: the following arguments are required: subcommand\n")
+    elif argv == ["bogus"]:
+        assert "error: argument subcommand: invalid choice: 'bogus'" in err
 
 
 def test_bad_mock_spec_fails_cleanly(capsys):

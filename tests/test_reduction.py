@@ -21,7 +21,7 @@ from fscfb import (
     threshold_stopper,
     z_channel_closed_form,
 )
-from conftest import brute_certificate
+from conftest import CountingOracle, brute_certificate
 
 FAST = OptimizerSettings()
 
@@ -76,16 +76,6 @@ dyadic = st.builds(lambda k, e: Fraction(k, 2**e), st.integers(-8, 8), st.intege
 @example([Fraction(1, 4)] * 5)
 def test_effective_certificate_equals_the_pairwise_check(values):
     assert effective_certificate(values) == brute_certificate(values)
-
-
-class CountingOracle(FixedHaltingOracle):
-    def __init__(self, times):
-        super().__init__(times)
-        self.queries = 0
-
-    def halted_within(self, n, m):
-        self.queries += 1
-        return super().halted_within(n, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 16, 33])
