@@ -1,19 +1,18 @@
 """Unifilar finite-state channels with feedback.
 
-Exact directed-information computations, finite-horizon feedback-capacity
-estimation over causal input policies, the channel constructions behind
-the capacity discontinuity, and the step-bounded-oracle scaffolding for
-effective double sequences.
+Finite-horizon feedback-capacity brackets and directed-information rates
+on the (s_n, y^n) lattice, the channel constructions behind the capacity
+discontinuity, and the step-bounded-oracle scaffolding for effective
+double sequences.
 """
 
 from .capacity import (
     CapacityEstimate,
-    CausalPolicy,
     DmcCapacityResult,
     FiniteNBracket,
     OptimizerSettings,
+    binary_entropy,
     dmc_capacity,
-    evaluate_rate,
     finite_n_bracket,
     iid_rate,
     optimize_rate,
@@ -22,13 +21,10 @@ from .capacity import (
 from .channels import (
     ConnectivityReport,
     FiniteStateChannel,
-    StateBeliefTable,
     UnifilarChannel,
     compose_unifilar,
     indecomposability_gap,
     indecomposability_gaps,
-    n_fold_law,
-    state_marginal,
     strongly_connected,
     tv_distance,
 )
@@ -51,21 +47,11 @@ from .gallery import (
     noiseless_z_pair,
     state_noise,
 )
-from .info import (
-    CausalKernel,
-    JointLaw,
-    MemorylessBoundReport,
-    binary_entropy,
-    causal_product,
-    directed_information,
-    memoryless_bound_check,
-)
 from .reduction import (
     CounterMachineOracle,
     FixedHaltingOracle,
     NeverHaltingOracle,
     StopperOutcome,
-    capacity_gap,
     effective_certificate,
     lambda_double_sequence,
     lambda_sequence,

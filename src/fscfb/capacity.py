@@ -1,27 +1,37 @@
 """Finite-horizon feedback-capacity estimation.
 
 The estimator maximizes (1/N) I(X^N -> Y^N | s_0) over causal input
-policies p(x^N || y^{N-1}) for a unifilar channel. Every (x^N, y^N) path
-has one channel factor, because the unifilar state is a function of the
-path, so the rate is a sum over flat path tables. An over-relaxed
-directed-information Blahut-Arimoto maximizes it and certifies an upper
-bound as it goes. A memoryless Blahut-Arimoto solver provides the
-single-state oracle.
+policies for a unifilar channel. With s_0 known, policies
+pi_n(x | s_{n-1}, y^{n-1}) reach the horizon-N optimum, so every rate is
+computed on the lattice of nodes (s_n, y^n): a forward pass carries
+P(s_n, y^n) to the output law Q(y^N), and an over-relaxed
+directed-information Blahut-Arimoto update, with the upper bound it
+certifies, folds back over the same nodes. A memoryless Blahut-Arimoto
+solver provides the single-state oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .channels import UnifilarChannel
+from .channels import UnifilarChannel, compose_unifilar
 from .errors import DomainError, FscError, ResourceLimitError, ShapeError, ValidationError
-from .info import MAX_JOINT_ENTRIES, binary_entropy
 
 POLICY_ROW_TOL = 1e-12
-MAX_PATHS = 4096     # (|X||Y|)^N guard on the solver; 4096 = binary N=6
-_LN2 = np.log(2.0)
+MAX_JOINT_ENTRIES = 4**10  # |S||X||Y|^N lattice transitions; N <= 18 for binary two-state
+_LN2 = float(np.log(2.0))
+
+
+def binary_entropy(p: float) -> float:
+    """H2(p) in bits, with 0 log 0 = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"probability {p} outside [0, 1]")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -32,166 +42,21 @@ class OptimizerSettings:
     tol: float = 1e-10          # stop once upper - lower < tol
 
 
-@dataclass(frozen=True)
-class CausalPolicy:
-    """Input policy p(x_n | x^{n-1}, y^{n-1}) for a fixed horizon.
-
-    ``steps[n-1]`` is a ((|X||Y|)^(n-1), |X|) table; the flat history index
-    packs the (x_k, y_k) pairs most-recent-last, each pair as x*|Y| + y.
-    """
-
-    horizon: int
-    x_size: int
-    y_size: int
-    steps: tuple
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("policy horizon must be >= 1")
-        if len(self.steps) != self.horizon:
-            raise ShapeError(f"{len(self.steps)} step tables for horizon {self.horizon}")
-        pair = self.x_size * self.y_size
-        frozen = []
-        for n, raw in enumerate(self.steps, start=1):
-            t = np.asarray(raw, dtype=float)
-            want = (pair ** (n - 1), self.x_size)
-            if t.shape != want:
-                raise ShapeError(f"step {n} table has shape {t.shape}, expected {want}")
-            sums = t.sum(axis=1)
-            off = np.abs(sums - 1.0)
-            if not np.all(off <= POLICY_ROW_TOL):  # written so that NaN fails it
-                h = int(np.argmax(off))  # argmax picks a NaN first
-                raise ValidationError(
-                    f"step {n} conditional at history {h} sums to {sums[h]:.17g}"
-                )
-            if not np.all(t >= 0):
-                raise ValidationError(f"step {n} has negative probabilities")
-            t = np.array(t, copy=True)
-            t.flags.writeable = False
-            frozen.append(t)
-        object.__setattr__(self, "steps", tuple(frozen))
-
-    @staticmethod
-    def uniform(x_size: int, y_size: int, horizon: int) -> "CausalPolicy":
-        return CausalPolicy.iid(np.full(x_size, 1.0 / x_size), y_size, horizon)
-
-    @staticmethod
-    def iid(dist, y_size: int, horizon: int) -> "CausalPolicy":
-        dist = np.asarray(dist, dtype=float)
-        x_size = dist.size
-        pair = x_size * y_size
-        steps = tuple(
-            np.tile(dist, (pair ** (n - 1), 1)) for n in range(1, horizon + 1)
-        )
-        return CausalPolicy(horizon, x_size, y_size, steps)
-
-    def free_parameter_count(self) -> int:
-        pair = self.x_size * self.y_size
-        return sum(pair ** (n - 1) * (self.x_size - 1) for n in range(1, self.horizon + 1))
-
-
-def _check_cell(u: UnifilarChannel, s0: int, horizon: int, entries, limit: int, what: str):
+def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     """Refuse, before anything is allocated, a horizon below 1, an initial
-    state outside the channel and tables of more than ``limit`` ``what``."""
+    state outside the channel and a lattice of more than
+    ``MAX_JOINT_ENTRIES`` transitions."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= s0 < u.s_size:
-        raise IndexError(f"state {s0} outside 0..{u.s_size - 1}")
-    if entries > limit:
+        raise DomainError(f"state {s0} outside 0..{u.s_size - 1}")
+    entries = u.s_size * u.x_size * u.y_size**horizon
+    if entries > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(
-            f"horizon {horizon} needs {entries} {what}, over the limit of {limit}",
-            limit=limit,
+            f"horizon {horizon} needs {entries} lattice transitions, "
+            f"over the limit of {MAX_JOINT_ENTRIES}",
+            limit=MAX_JOINT_ENTRIES,
         )
-
-
-def _path_tables(
-    u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES, factors=None
-):
-    """Wseq, log2 Wseq and the output-sequence index of every (x^N, y^N) path.
-
-    Paths are numbered like the policy's flat histories: the (x_n, y_n)
-    pairs most-recent-last, each pair as x*|Y| + y. Bad horizons and states,
-    and more than ``limit`` paths, are refused before anything is allocated.
-    Each step's channel factor W_n(y_n | x_n, s_{n-1}), shaped (histories
-    of length n-1, |X|, |Y|), is appended to ``factors`` if that is a list
-    (at binary N = 10 they would add a quarter to evaluate_rate's peak).
-    """
-    x, y = u.x_size, u.y_size
-    _check_cell(u, s0, horizon, (x * y) ** horizon, limit, "trajectories")
-    wseq = np.ones(1)
-    state = np.array([s0])
-    yidx = np.zeros(1, dtype=np.int64)
-    for _ in range(horizon):
-        if factors is not None:
-            factors.append(u.w[state])
-        wseq = (wseq[:, None, None] * u.w[state]).ravel()
-        state = u.f[state].ravel()
-        yidx = np.broadcast_to(yidx[:, None, None] * y + np.arange(y), (yidx.size, x, y)).ravel()
-    logw = np.where(wseq > 0, wseq, 1.0)
-    return wseq, np.log2(logw, out=logw), yidx
-
-
-def _path_rate(prob, logw, yidx, horizon: int, y_size: int, loss=None):
-    """(1/N) sum_p P(p) L(p) with the loss L = log2 Wseq - log2 Q(y(p)),
-    written into ``loss`` if given, and Q, the output-sequence marginal of
-    the path law P."""
-    q = np.bincount(yidx, weights=prob, minlength=y_size**horizon)
-    loss = np.subtract(logw, np.log2(np.where(q > 0, q, 1.0))[yidx], out=loss)
-    return float(prob @ loss) / horizon, q
-
-
-def evaluate_rate(u: UnifilarChannel, s0: int, policy: CausalPolicy) -> float:
-    """(1/N) I(X^N -> Y^N | s_0) in bits per channel use."""
-    if policy.x_size != u.x_size or policy.y_size != u.y_size:
-        raise ShapeError("policy alphabets do not match the channel")
-    n_steps = policy.horizon
-    prob, logw, yidx = _path_tables(u, s0, n_steps)
-    pair = u.x_size * u.y_size
-    for n, step in enumerate(policy.steps):
-        # each (history, x_n) entry covers y_n and every continuation
-        prob *= np.repeat(step.ravel(), u.y_size * pair ** (n_steps - 1 - n))
-    value, _ = _path_rate(prob, logw, yidx, n_steps, u.y_size, loss=logw)  # in place: peak memory
-    if not np.isfinite(value):
-        raise FscError(f"directed information is not finite: {value!r}")
-    return value
-
-
-def iid_rate(u: UnifilarChannel, s0: int, dist, horizon: int) -> float:
-    """(1/N) I(X^N -> Y^N | s_0) of inputs drawn iid from ``dist``, in bits
-    per channel use.
-
-    Inputs that ignore the past need no path tables: the forward recursion
-    runs over the lattice nodes (y^n, s_n), alpha_n(y^n, s_n) = P(y^n, s_n),
-    one step at a time through g(s_{n-1}, y_n, s_n) = sum_x p(x)
-    W(y_n | x, s_{n-1}) over the x with f(s_{n-1}, x, y_n) = s_n. The rate is
-    (E log2 Wseq - sum Q log2 Q) / N with Q(y^N) = sum_s alpha_N, and
-    E log2 Wseq is summed step by step over the state marginal. The last
-    step spans |S||X||Y|^N transitions, which the joint-table guard bounds.
-    """
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (u.x_size,):
-        raise ShapeError(f"input law has shape {dist.shape}, expected ({u.x_size},)")
-    if not (abs(dist.sum() - 1.0) <= POLICY_ROW_TOL and np.all(dist >= 0)):  # NaN fails it
-        raise ValidationError(f"input law {dist.tolist()} is not a distribution")
-    s, x, y = u.w.shape
-    _check_cell(u, s0, horizon, s * x * y**horizon, MAX_JOINT_ENTRIES, "lattice transitions")
-    mass = u.w * dist[:, None]  # p(x) W(y | x, s), indexed [s, x, y]
-    elogw = (mass * np.log2(np.where(mass > 0, u.w, 1.0))).sum(axis=(1, 2))
-    sp, _, yy = np.indices(u.w.shape)
-    step = np.bincount(((sp * y + yy) * s + u.f).ravel(), weights=mass.ravel(), minlength=s * y * s)
-    step = step.reshape(s, y * s)
-    alpha = np.zeros((1, s))  # rows y^n, columns s_n
-    alpha[0, s0] = 1.0
-    expected = 0.0
-    for _ in range(horizon):
-        expected += float(alpha.sum(axis=0) @ elogw)
-        alpha = (alpha @ step).reshape(-1, s)
-    q = alpha.sum(axis=1)
-    q = q[q > 0]
-    value = (expected - float(q @ np.log2(q))) / horizon
-    if not np.isfinite(value):
-        raise FscError(f"directed information is not finite: {value!r}")
-    return value
 
 
 def _logsumexp(t):
@@ -202,73 +67,121 @@ def _logsumexp(t):
     return np.log(np.exp(t - top).sum(axis=0)) + top
 
 
-class _PathModel:
-    """Flat enumeration of all (x^N, y^N) paths for the Blahut-Arimoto solver.
+class _Lattice:
+    """The nodes (s_n, y^n) of a unifilar channel run from a known s_0.
+
+    Node (s, y^n) has the flat index s |Y|^n + y^n, where y^n reads the
+    outputs as a base-|Y| number with the latest one the most significant
+    digit. The |Y| children of (s, y^{n-1}) then lie |Y|^{n-1} apart, and a
+    step is one product with the transition table
+    t[(x, s), (s', y)] = W(y | x, s) [f(s, x, y) = s'], the composed law, or
+    at step N with ``tq``, W itself, which gives Q(y^N) directly.
 
     The policy is one log-probability table theta of shape
-    (|X|, sum_{n<N} (|X||Y|)^n), x-major so that every reduction over x
-    runs along whole rows; step n's columns, one per history of length n,
-    are ``theta[:, steps[n]]``. ``cells`` lists, step-major, the flat table
-    entry each path draws at each step, so one gather serves all steps.
+    (|X|, sum_{n<N} |S||Y|^n), x-major so that every reduction over x runs
+    along whole rows; step n's columns, one per node (s_{n-1}, y^{n-1}), are
+    ``theta[:, steps[n-1]]``.
 
-    ``forward`` leaves two per-path tables in ``buf``: the log posterior
-    z = ln P(x^N | y^N) and the loss L = log2 Wseq - log2 Q(y^N), whose
-    P-weighted mean is the rate. ``backward`` folds both to the root one
-    step at a time through the step's channel factor: z into the
-    Blahut-Arimoto policy update, L into the best deterministic policy's
-    value of the rate linearized at the current policy.
+    ``forward`` carries alpha_n(s_n, y^n) = P(s_n, y^n) to Q(y^N) and the
+    rate (1/N)(sum_n E log2 W - sum Q log2 Q). ``backward`` folds, in nats,
+    Z_N = V_N = -ln Q back to the root: E_n = ln pi_n + sum_y W [ln W + Z_n]
+    gives the Blahut-Arimoto update softmax_x E_n and Z_{n-1} = logsumexp_x
+    E_n, and V_{n-1} = max_x sum_y W [ln W + V_n] is the best deterministic
+    policy's value of the rate linearized at the current policy. Terms of
+    earlier steps are constant in x_n, so they cancel in the softmax and
+    shift the max alike: the lattice iterates are those of the update over
+    whole (x^N, y^N) histories.
     """
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
-        self.factors = []
-        self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS, self.factors)
-        x, y = u.x_size, u.y_size
-        pair = x * y
-        self.horizon = horizon
-        self.y_size = y
-        offsets = np.concatenate(([0], np.cumsum(pair ** np.arange(horizon))))
+        _check_cell(u, s0, horizon)
+        s, x, y = u.w.shape
+        self.shape, self.s0, self.horizon = u.w.shape, s0, horizon
+        self.t = compose_unifilar(u).law.transpose(1, 0, 3, 2).reshape(x * s, s * y)
+        self.tq = u.w.transpose(1, 0, 2).reshape(x * s, y)
+        # sum_y W ln W per (x, s), one row per entry of a step's joint table
+        wlnw = u.w * np.log(np.where(u.w > 0, u.w, 1.0))
+        self.wlnw = wlnw.sum(axis=2).T.reshape(x * s, 1)
+        # the forward pass's tables: a step's transitions, then a row that sums E ln W
+        self.transfer = [np.vstack((step.T, self.wlnw.T))
+                         for step in [self.t] * (horizon - 1) + [self.tq]]
+        self.root = np.eye(s)[s0]
+        offsets = np.concatenate(([0], np.cumsum(s * y ** np.arange(horizon))))
         self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.theta_shape = (x, int(offsets[-1]))
-        path = np.arange(self.wseq.size)
-        later = pair ** np.arange(horizon - 1, -1, -1)[:, None]  # paths per step-n pair
-        rows = path // (later * pair) + offsets[:-1, None]
-        self.cells = (path // later % pair // y * offsets[-1] + rows).ravel()
-        # pick[x, (x, y)] = 1: sums a history's (x_n, y_n) entries over y_n
-        self.pick = np.repeat(np.eye(x), y, axis=1)
-        # the output sequences some path reaches: L is exact only where Q > 0 on all of them
-        self.reached = np.bincount(self.yidx, weights=self.wseq, minlength=y**horizon) > 0
-        self.buf = np.empty((2, self.wseq.size))
+
+    @cached_property
+    def reachable(self):
+        """How many output sequences some path reaches. Q is exactly 0 on the
+        others, and the linearized rate is exact only if Q > 0 on all of these."""
+        s, x, y = self.shape
+        edge = (self.t > 0).reshape(x, s, s * y).any(axis=0).astype(float)
+        node = self.root
+        for _ in range(self.horizon):
+            node = (edge.T @ node.reshape(s, -1) > 0).ravel()
+        return np.count_nonzero(node.reshape(s, -1).any(axis=0))
+
+    def rate(self, pi):
+        """The rate of the policy table ``pi`` (probabilities, laid out like
+        theta), Q(y^N), and ln Q with 0 where Q = 0."""
+        s, x, _ = self.shape
+        alpha = self.root
+        expected = 0.0  # E ln Wseq
+        for cols, transfer in zip(self.steps, self.transfer):
+            mass = transfer @ (pi[:, cols] * alpha).reshape(x * s, -1)
+            expected += float(mass[-1].sum())
+            alpha = mass[:-1].ravel()
+        lnq = np.log(alpha + (alpha == 0))
+        return (expected - float(alpha @ lnq)) / (self.horizon * _LN2), alpha, lnq
 
     def forward(self, theta):
-        """The rate of the policy exp(theta), and whether L is exact."""
-        lp = theta.ravel()[self.cells].reshape(self.horizon, -1).sum(axis=0)
-        prob = self.wseq * np.exp(lp)
-        z, loss = self.buf
-        value, q = _path_rate(prob, self.logw, self.yidx, self.horizon, self.y_size, loss)
-        np.multiply(loss, _LN2, out=z)
-        z += lp
-        return value, bool(q[self.reached].all())
+        """The rate of the policy exp(theta), and whether the linearized rate
+        the bound rests on is exact."""
+        self.theta = theta
+        value, q, self.lnq = self.rate(np.exp(theta))
+        return value, bool(np.count_nonzero(q) == self.reachable)
+
+    def policy(self, theta):
+        """The per-step tables pi_n[s, y^{n-1}, x] of the log-policy ``theta``."""
+        s, x, _ = self.shape
+        pi = np.exp(theta)
+        return tuple(np.moveaxis(pi[:, c].reshape(x, s, -1), 0, -1).copy() for c in self.steps)
 
     def backward(self, out):
         """Write the Blahut-Arimoto update of the last forward's policy into
         ``out`` and return the linearized rate's maximum, an upper bound on
-        the horizon-N optimum when L is exact."""
-        a = self.buf
+        the horizon-N optimum when the linearized rate is exact."""
+        s, x, y = self.shape
+        # sum_y W [ln W + Z_n] and the same with V_n; Z_N = V_N
+        ez = ev = self.tq @ -self.lnq.reshape(y, -1) + self.wlnw
         for n in range(self.horizon - 1, -1, -1):
-            w = self.factors[n]
-            h = w.shape[0]
-            # expectations over y_n, laid out (x_n, [z histories, L histories])
-            e = self.pick @ (a.reshape(2, h, -1) * w.reshape(h, -1)).reshape(2 * h, -1).T
-            ez, ev = e[:, :h], e[:, h:]
-            lse = _logsumexp(ez)
-            np.subtract(ez, lse, out=out[:, self.steps[n]])
-            a = a[:, :h]  # one entry per history of length n-1
-            a[0] = lse
-            ev.max(axis=0, out=a[1])
-        return float(a[1, 0]) / self.horizon
+            cols = self.steps[n]
+            ez = ez.reshape(x, -1) + self.theta[:, cols]
+            z = _logsumexp(ez)
+            np.subtract(ez, z, out=out[:, cols])
+            v = ev.reshape(x, -1).max(axis=0)
+            if n:
+                ez = self.t @ z.reshape(s * y, -1) + self.wlnw
+                ev = self.t @ v.reshape(s * y, -1) + self.wlnw
+        return float(v[self.s0]) / (self.horizon * _LN2)
 
 
-def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
+def iid_rate(u: UnifilarChannel, s0: int, dist, horizon: int) -> float:
+    """(1/N) I(X^N -> Y^N | s_0) of inputs drawn iid from ``dist``, in bits
+    per channel use: the lattice forward pass at the constant policy."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (u.x_size,):
+        raise ShapeError(f"input law has shape {dist.shape}, expected ({u.x_size},)")
+    if not (abs(dist.sum() - 1.0) <= POLICY_ROW_TOL and np.all(dist >= 0)):  # NaN fails it
+        raise ValidationError(f"input law {dist.tolist()} is not a distribution")
+    lattice = _Lattice(u, s0, horizon)
+    value = lattice.rate(np.broadcast_to(dist[:, None], lattice.theta_shape))[0]
+    if not np.isfinite(value):
+        raise FscError(f"directed information is not finite: {value!r}")
+    return value
+
+
+def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     """Over-relaxed Blahut-Arimoto from the log-policy ``theta``.
 
     Each iteration moves to theta + omega (theta_BA - theta), renormalized,
@@ -309,13 +222,15 @@ def _ascend(model: _PathModel, theta, cfg: OptimizerSettings):
 class CapacityEstimate:
     """A finite-horizon feedback-rate estimate and how it was obtained:
     ``value`` is the rate of ``policy``, and ``upper`` a certified upper
-    bound on the horizon-N optimum."""
+    bound on the horizon-N optimum. ``policy[n-1][s, y, x]`` is
+    pi_n(x | s_{n-1} = s, y^{n-1}), where y numbers the output history
+    sum_k y_k |Y|^(k-1), the first output the least significant digit."""
 
     value: float
     horizon: int
     initial_state: int | None
     state_mode: str  # "fixed" | "min" | "max"
-    policy: CausalPolicy | None = None
+    policy: tuple | None = None
     diagnostics: dict = field(default_factory=dict)
     upper: float = np.inf
 
@@ -328,22 +243,20 @@ def optimize_rate(
     The run starts at the uniform policy, so the result is never below the
     uniform-iid baseline, and stops once upper - value < ``cfg.tol`` or
     after ``cfg.max_iters`` updates. The rate is concave in
-    p(x^N || y^{N-1}), which enters the path law linearly, so the rate
+    p(x^N || y^{N-1}), which enters the joint law linearly, so the rate
     linearized at any policy, maximized over deterministic causal
     policies, bounds the optimum from above.
     """
     cfg = cfg or OptimizerSettings()
-    model = _PathModel(u, s0, horizon)
+    model = _Lattice(u, s0, horizon)
     theta = np.full(model.theta_shape, -np.log(u.x_size))
     theta, value, upper, iters = _ascend(model, theta, cfg)
-    pi = np.exp(theta)
-    policy = CausalPolicy(horizon, u.x_size, u.y_size, tuple(pi[:, c].T for c in model.steps))
     return CapacityEstimate(
         value=value,
         horizon=horizon,
         initial_state=s0,
         state_mode="fixed",
-        policy=policy,
+        policy=model.policy(theta),
         diagnostics={"iterations": iters, "converged": upper - value < cfg.tol},
         upper=upper,
     )

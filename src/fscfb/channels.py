@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ResourceLimitError, ShapeError, ValidationError
 
 ROW_SUM_TOL = 1e-12       # stochasticity tolerance at validation time
-COMPOSED_SUM_TOL = 1e-10  # after n-fold composition (accumulated error)
 INDECOMP_BUDGET = 10**7   # |X|^n * |S|^2 entries an exhaustive sweep may touch
 _GAP_BLOCK = 2**20        # floats in one level of the sweep before it goes prefix by prefix
 
@@ -122,23 +121,6 @@ class UnifilarChannel:
 
 
 @dataclass(frozen=True)
-class StateBeliefTable:
-    """q(s_n | x^n, s_0): distribution over the final state for one input path."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ShapeError("state belief must be a vector over states")
-        if not abs(values.sum() - 1.0) <= ROW_SUM_TOL:
-            raise ValidationError(f"state belief sums to {values.sum():.17g}, expected 1")
-        if not np.all(values >= 0):  # written so that NaN fails it
-            raise ValidationError("state belief has negative or NaN entries")
-        object.__setattr__(self, "values", _frozen(values))
-
-
-@dataclass(frozen=True)
 class ConnectivityReport:
     """Verdict of the strong-connectivity check on the support graph.
 
@@ -163,49 +145,6 @@ def compose_unifilar(u: UnifilarChannel) -> FiniteStateChannel:
     sp, x, y = np.indices((s_size, x_size, y_size))
     law[sp, x, y, u.f] = u.w
     return FiniteStateChannel(law)
-
-
-def _check_symbols(c: FiniteStateChannel, x_seq, s0: int) -> list[int]:
-    xs = [int(x) for x in x_seq]
-    for x in xs:
-        if not 0 <= x < c.x_size:
-            raise IndexError(f"input symbol {x} outside 0..{c.x_size - 1}")
-    if not 0 <= s0 < c.s_size:
-        raise IndexError(f"state {s0} outside 0..{c.s_size - 1}")
-    return xs
-
-
-def n_fold_law(c: FiniteStateChannel, x_seq, s0: int, n: int) -> np.ndarray:
-    """Joint P^n(y^n, s_n | x^n, s_0) as a (Y, ..., Y, S) table with n output axes.
-
-    Built by the forward recursion that sums the one-step law over the
-    intermediate state: P^n = sum_{s_{n-1}} P(y_n, s_n | x_n, s_{n-1}) P^{n-1}.
-    """
-    if n < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n}")
-    xs = _check_symbols(c, x_seq, s0)
-    if len(xs) != n:
-        raise ShapeError(f"x_seq has length {len(xs)}, expected n = {n}")
-    table = c.law[s0, xs[0]]  # (Y, S)
-    for x in xs[1:]:
-        # contract the trailing state axis with the next step's s_prev axis
-        table = np.tensordot(table, c.law[:, x], axes=(table.ndim - 1, 0))
-    total = table.sum()
-    if abs(total - 1.0) > COMPOSED_SUM_TOL:
-        raise ValidationError(f"n-fold law sums to {total:.17g}; accumulated error too large")
-    return table
-
-
-def state_marginal(c: FiniteStateChannel, x_seq, s0: int, n: int) -> StateBeliefTable:
-    """q^n(s_n | x^n, s_0): the n-fold law summed over all output sequences."""
-    if n == 0:
-        values = np.zeros(c.s_size)
-        if not 0 <= s0 < c.s_size:
-            raise IndexError(f"state {s0} outside 0..{c.s_size - 1}")
-        values[s0] = 1.0
-        return StateBeliefTable(values)
-    table = n_fold_law(c, x_seq, s0, n)
-    return StateBeliefTable(table.sum(axis=tuple(range(table.ndim - 1))))
 
 
 def indecomposability_gaps(

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import OptimizerSettings, optimize_rate
-from .channels import UnifilarChannel
 from .errors import DomainError, OracleError
 
 
@@ -216,20 +214,3 @@ def threshold_stopper(seq, n: int, budget: int = 64) -> StopperOutcome:
         if nu > Fraction(1, 2**m):
             return StopperOutcome(halted=True, step=m)
     return StopperOutcome(halted=False, budget=budget)
-
-
-def capacity_gap(
-    u: UnifilarChannel,
-    s_a: int,
-    s_b: int,
-    horizon: int,
-    cfg: OptimizerSettings | None = None,
-) -> float:
-    """Finite-horizon estimate of the initial-state capacity difference.
-
-    Returns optimize_rate(u, s_a) - optimize_rate(u, s_b) at the given
-    horizon; the argument order fixes the sign.
-    """
-    a = optimize_rate(u, s_a, horizon, cfg)
-    b = optimize_rate(u, s_b, horizon, cfg)
-    return a.value - b.value

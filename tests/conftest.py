@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fscfb import CausalPolicy, FiniteStateChannel, FixedHaltingOracle, UnifilarChannel
+from fscfb import FiniteStateChannel, FixedHaltingOracle, UnifilarChannel
+from oracle import CausalPolicy, causal_policy
 
 
 def rand_fsc(rng, s_size=2, x_size=2, y_size=2):
@@ -54,7 +55,10 @@ def brute_nfold(law, x_seq, s0):
 
 def brute_joint(u, s0, policy):
     """p(x^N, y^N | s_0) with axes x_1..x_N, y_1..y_N, one path at a time
-    through the policy's history rows and the channel's state walk."""
+    through the policy's history rows and the channel's state walk. A
+    lattice policy is first expanded into its history rows."""
+    if not isinstance(policy, CausalPolicy):
+        policy = causal_policy(u, s0, policy)
     n_steps, x_size, y_size = policy.horizon, u.x_size, u.y_size
     joint = np.zeros((x_size,) * n_steps + (y_size,) * n_steps)
     for xs in itertools.product(range(x_size), repeat=n_steps):

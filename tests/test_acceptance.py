@@ -12,17 +12,14 @@ import numpy as np
 import pytest
 
 from fscfb import (
-    CausalKernel,
     FixedHaltingOracle,
     UnifilarChannel,
-    causal_product,
     compose_unifilar,
     dmc_capacity,
     extend_states,
     indecomposability_gap,
     inverse_k_pair,
     lambda_double_sequence,
-    memoryless_bound_check,
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
@@ -32,6 +29,7 @@ from fscfb import (
     z_channel_closed_form,
 )
 from fscfb.cli import main
+from oracle import CausalKernel, causal_product, memoryless_bound_check
 
 
 def zchannel(eps: float):

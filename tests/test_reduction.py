@@ -11,11 +11,11 @@ from fscfb import (
     NeverHaltingOracle,
     OptimizerSettings,
     OracleError,
-    capacity_gap,
     effective_certificate,
     lambda_double_sequence,
     mixing_pair,
     noiseless_z_pair,
+    optimize_rate,
     parse_program,
     run_bounded,
     threshold_stopper,
@@ -159,6 +159,12 @@ def test_counter_machine_feeds_lambda_sequence():
     lam_odd = lambda_double_sequence(oracle, 3, 40)
     assert lam_even > Fraction(1, 2**40)  # halted: frozen dyadic value
     assert lam_odd == Fraction(1, 2**40)  # still running: keeps shrinking
+
+
+def capacity_gap(u, s_a, s_b, horizon, cfg):
+    """The finite-horizon initial-state capacity difference; the argument
+    order fixes the sign."""
+    return optimize_rate(u, s_a, horizon, cfg).value - optimize_rate(u, s_b, horizon, cfg).value
 
 
 def test_capacity_gap_zero_for_same_state():
