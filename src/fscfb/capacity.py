@@ -23,6 +23,8 @@ from .errors import DomainError, FscError, ResourceLimitError, ShapeError, Valid
 POLICY_ROW_TOL = 1e-12
 MAX_JOINT_ENTRIES = 4**10  # |S||X||Y|^N lattice transitions; N <= 18 for binary two-state
 _LN2 = float(np.log(2.0))
+_LN_FLOOR = float(np.log(1e-3))  # drop inputs the update lowers below this; re-admit at it
+_FACE_EVERY = 32                 # updates between changes of the policy's support
 
 
 def binary_entropy(p: float) -> float:
@@ -93,10 +95,12 @@ class _Lattice:
     whole (x^N, y^N) histories.
     """
 
+    prunes = True  # ``backward`` re-admits excluded inputs, so ``_ascend`` may drop them
+
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         _check_cell(u, s0, horizon)
         s, x, y = u.w.shape
-        self.shape, self.s0, self.horizon = u.w.shape, s0, horizon
+        self.shape, self.s0, self.horizon, self.y_size = u.w.shape, s0, horizon, y
         self.t = compose_unifilar(u).law.transpose(1, 0, 3, 2).reshape(x * s, s * y)
         self.tq = u.w.transpose(1, 0, 2).reshape(x * s, y)
         # sum_y W ln W per (x, s), one row per entry of a step's joint table
@@ -147,18 +151,27 @@ class _Lattice:
         pi = np.exp(theta)
         return tuple(np.moveaxis(pi[:, c].reshape(x, s, -1), 0, -1).copy() for c in self.steps)
 
-    def backward(self, out):
+    def backward(self, out, admit=None):
         """Write the Blahut-Arimoto update of the last forward's policy into
         ``out`` and return the linearized rate's maximum, an upper bound on
-        the horizon-N optimum when the linearized rate is exact."""
+        the horizon-N optimum when the linearized rate is exact.
+
+        With ``admit`` (nats), an input the policy excludes whose gain
+        g = sum_y W [ln W + Z_n] passes its node's Z_{n-1} = ln sum_x pi e^g
+        by at least ``admit`` violates the optimality (KKT) conditions by
+        that much; its update entry is written as ln 1e-3, not -inf, and the
+        column is left unnormalized."""
         s, x, y = self.shape
         # sum_y W [ln W + Z_n] and the same with V_n; Z_N = V_N
         ez = ev = self.tq @ -self.lnq.reshape(y, -1) + self.wlnw
         for n in range(self.horizon - 1, -1, -1):
             cols = self.steps[n]
-            ez = ez.reshape(x, -1) + self.theta[:, cols]
+            gain = ez.reshape(x, -1)
+            ez = gain + self.theta[:, cols]
             z = _logsumexp(ez)
             np.subtract(ez, z, out=out[:, cols])
+            if admit is not None:
+                out[:, cols][np.isneginf(ez) & (gain >= z + admit)] = _LN_FLOOR
             v = ev.reshape(x, -1).max(axis=0)
             if n:
                 ez = self.t @ z.reshape(s * y, -1) + self.wlnw
@@ -187,23 +200,74 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     Each iteration moves to theta + omega (theta_BA - theta), renormalized,
     if that does not lower the rate, and otherwise to the plain update
     theta_BA, which never does; omega grows 1.5-fold on every accepted
-    move and is reset to 1 on a rejected one. Rounding can put the smallest
-    upper bound seen an ulp below the rate; it is reported as at least that.
+    move and is reset to 1 on a rejected one.
+
+    Every ``_FACE_EVERY`` updates the run may move to another face of the
+    policy simplex. An input whose update is below 1e-3 and still falling is
+    dropped, set to exactly 0 (theta = -inf), which the multiplicative
+    update keeps; a normalized column cannot lower every entry, so each
+    keeps one. A dropped input comes back at 1e-3, never to be dropped
+    again, when the policy misses an output sequence the channel can emit
+    (no optimum does: the rate's slope toward such a sequence is infinite),
+    or when ``model.backward`` finds it violating the optimality conditions
+    by at least the current gap, upper - value in nats per use. At a fixed
+    point on a face the gap is at most the largest violation, since
+    V_0 - Z_0, N ln 2 times the gap there, gains at most one violation per
+    step. So a face without the optimum cannot hold the run, while an input
+    that vanishes only in the limit is not brought back by the small
+    violations on the way there. The faces cannot cycle. A change of face
+    is a renormalized plain step; omega carries over a drop, which moves
+    the policy by less than 1e-3, and is reset to 1 by a re-admission. An
+    optimum on the boundary, which the update approaches only like 1/k, is
+    then approached at the update's linear rate on its face. Models without
+    re-admission (``prunes`` false) keep every input.
+
+    The upper bound is the linearized rate's maximum over every
+    deterministic policy, dropped inputs included, so it holds whatever the
+    support; it starts at log2|Y|, which bounds every rate. Rounding can put
+    it an ulp below the rate; it is reported as at least that. A change of
+    face can lower the rate, so the best policy seen is returned. Returns
+    (theta, value, upper, counts): the counts of updates and of dropped and
+    re-admitted inputs.
     """
     value, exact = model.forward(theta)
+    best = value, theta
     update = np.empty_like(theta)
-    upper = np.inf
+    upper = float(np.log2(model.y_size))
+    kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs, never dropped again
     omega = 1.0
-    iters = 0
+    iters = pruned = readmitted = 0
     while True:
-        bound = model.backward(update)
+        epoch = model.prunes and (iters + 1) % _FACE_EVERY == 0
+        if epoch:
+            bound = model.backward(update, (upper - value) * _LN2)
+        else:
+            bound = model.backward(update)
         if exact:
             upper = min(upper, bound)
         if upper - value < cfg.tol or iters >= cfg.max_iters:
             break
         iters += 1
-        if omega > 1.0:
-            trial = theta + omega * (update - theta)
+        n_back = n_drop = 0
+        if epoch:
+            if not exact:
+                update[np.isneginf(update)] = _LN_FLOOR
+            back = np.isneginf(theta) & (update > -np.inf)
+            drop = (update < _LN_FLOOR) & (update < theta) & ~kept
+            n_back, n_drop = int(np.count_nonzero(back)), int(np.count_nonzero(drop))
+        if n_back or n_drop:
+            readmitted += n_back
+            pruned += n_drop
+            kept |= back
+            update[drop] = -np.inf
+            update -= _logsumexp(update)
+            best = max(best, (value, theta), key=lambda b: b[0])
+            if n_back:
+                omega = 1.0
+        elif omega > 1.0:
+            with np.errstate(invalid="ignore"):  # -inf - -inf on dropped inputs
+                trial = theta + omega * (update - theta)
+            trial[np.isnan(trial)] = -np.inf
             trial -= _logsumexp(trial)
             trial_value, trial_exact = model.forward(trial)
             if trial_value >= value:
@@ -215,7 +279,9 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             omega = 1.5
         theta, update = update, np.empty_like(update)
         value, exact = model.forward(theta)
-    return theta, value, max(upper, value), iters
+    value, theta = max(best, (value, theta), key=lambda b: b[0])
+    counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted}
+    return theta, value, max(upper, value), counts
 
 
 @dataclass(frozen=True)
@@ -245,19 +311,21 @@ def optimize_rate(
     after ``cfg.max_iters`` updates. The rate is concave in
     p(x^N || y^{N-1}), which enters the joint law linearly, so the rate
     linearized at any policy, maximized over deterministic causal
-    policies, bounds the optimum from above.
+    policies, bounds the optimum from above. ``diagnostics`` holds
+    ``converged`` and ``_ascend``'s counts: ``iterations``, and the inputs
+    ``pruned`` (dropped to probability 0) and ``readmitted``.
     """
     cfg = cfg or OptimizerSettings()
     model = _Lattice(u, s0, horizon)
     theta = np.full(model.theta_shape, -np.log(u.x_size))
-    theta, value, upper, iters = _ascend(model, theta, cfg)
+    theta, value, upper, counts = _ascend(model, theta, cfg)
     return CapacityEstimate(
         value=value,
         horizon=horizon,
         initial_state=s0,
         state_mode="fixed",
         policy=model.policy(theta),
-        diagnostics={"iterations": iters, "converged": upper - value < cfg.tol},
+        diagnostics={**counts, "converged": upper - value < cfg.tol},
         upper=upper,
     )
 

@@ -187,6 +187,10 @@ class _PathModel:
     value of the rate linearized at the current policy.
     """
 
+    # ``backward`` has no re-admission test, and a dropped input's -inf
+    # would turn the posterior fold into NaN: ``_ascend`` keeps every input
+    prunes = False
+
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         self.factors = []
         self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS, self.factors)
@@ -257,8 +261,8 @@ def optimize_paths(u: UnifilarChannel, s0: int, horizon: int, cfg: OptimizerSett
     uniform policy. Returns (value, upper, iterations)."""
     model = _PathModel(u, s0, horizon)
     theta = np.full(model.theta_shape, -np.log(u.x_size))
-    _, value, upper, iters = _ascend(model, theta, cfg)
-    return value, upper, iters
+    _, value, upper, counts = _ascend(model, theta, cfg)
+    return value, upper, counts["iterations"]
 
 
 # --- the dense stack -------------------------------------------------------
