@@ -4,9 +4,10 @@ The estimator maximizes (1/N) I(X^N -> Y^N | s_0) over causal input
 policies for a unifilar channel. With s_0 known, policies
 pi_n(x | s_{n-1}, y^{n-1}) reach the horizon-N optimum, so every rate is
 computed on the lattice of nodes (s_n, y^n): a forward pass carries
-P(s_n, y^n) to the output law Q(y^N), and an over-relaxed
-directed-information Blahut-Arimoto update, with the upper bound it
-certifies, folds back over the same nodes. A memoryless Blahut-Arimoto
+P(s_n, y^n) to the output law Q(y^N), and a directed-information
+Blahut-Arimoto update, with the upper bound it certifies, folds back over
+the same nodes; the ascent over-relaxes it and corrects each trial by a
+secant step. A memoryless Blahut-Arimoto
 solver provides the single-state oracle.
 """
 
@@ -25,6 +26,7 @@ MAX_JOINT_ENTRIES = 4**10  # |S||X||Y|^N lattice transitions; N <= 18 for binary
 _LN2 = float(np.log(2.0))
 _LN_FLOOR = float(np.log(1e-3))  # drop inputs the update lowers below this; re-admit at it
 _FACE_EVERY = 32                 # updates between changes of the policy's support
+_OMEGA_MAX = 1.5**40             # trials tie once the rate is flat to rounding; omega stops here
 
 
 def binary_entropy(p: float) -> float:
@@ -42,6 +44,13 @@ class OptimizerSettings:
 
     max_iters: int = 20000      # policy updates
     tol: float = 1e-10          # stop once upper - lower < tol
+
+    def __post_init__(self):
+        # written so that NaN fails: a bracket never closes below a tol <= 0
+        if not self.max_iters >= 0:
+            raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
@@ -96,6 +105,7 @@ class _Lattice:
     """
 
     prunes = True  # ``backward`` re-admits excluded inputs, so ``_ascend`` may drop them
+    accelerates = True  # ``rate`` keeps the node masses the secant step weighs by
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         _check_cell(u, s0, horizon)
@@ -113,6 +123,7 @@ class _Lattice:
         offsets = np.concatenate(([0], np.cumsum(s * y ** np.arange(horizon))))
         self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.theta_shape = (x, int(offsets[-1]))
+        self.mass = np.empty(self.theta_shape[1])
 
     @cached_property
     def reachable(self):
@@ -127,11 +138,14 @@ class _Lattice:
 
     def rate(self, pi):
         """The rate of the policy table ``pi`` (probabilities, laid out like
-        theta), Q(y^N), and ln Q with 0 where Q = 0."""
+        theta), Q(y^N), and ln Q with 0 where Q = 0. Each column's node mass
+        P(s_{n-1}, y^{n-1}) is kept in ``self.mass``, laid out like theta's
+        columns."""
         s, x, _ = self.shape
         alpha = self.root
         expected = 0.0  # E ln Wseq
         for cols, transfer in zip(self.steps, self.transfer):
+            self.mass[cols] = alpha
             mass = transfer @ (pi[:, cols] * alpha).reshape(x * s, -1)
             expected += float(mass[-1].sum())
             alpha = mass[:-1].ravel()
@@ -197,10 +211,21 @@ def iid_rate(u: UnifilarChannel, s0: int, dist, horizon: int) -> float:
 def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     """Over-relaxed Blahut-Arimoto from the log-policy ``theta``.
 
-    Each iteration moves to theta + omega (theta_BA - theta), renormalized,
-    if that does not lower the rate, and otherwise to the plain update
-    theta_BA, which never does; omega grows 1.5-fold on every accepted
-    move and is reset to 1 on a rejected one.
+    Each iteration tries a trial step, renormalized, and moves there if that
+    does not lower the rate, and otherwise to the plain update theta_BA,
+    which never does; omega grows 1.5-fold on every accepted move, up to
+    ``_OMEGA_MAX``, and is reset to 1 on a rejected one. With g = theta_BA -
+    theta on the finite entries, the trial is theta + omega g, corrected by
+    one secant (Anderson) step: given dx = theta - theta' and dg = g - g'
+    from the last plain or accepted update theta' -> theta,
+    theta + omega g - gamma (dx + omega dg) with
+    gamma = <dg, g>_w / <dg, dg>_w, which cancels the part of g the last
+    step predicts. The weight w = P(node) pi(x | node) of each entry, the
+    Fisher metric of the policy (Matz & Duhamel, ITW 2004), keeps columns no
+    path reaches out of the fit. A rejection restarts the history from the
+    plain update, where omega = 1 still takes the corrected trial; a change
+    of face clears it. Models without node masses (``accelerates`` false)
+    take the uncorrected trial, which at omega = 1 is theta_BA itself.
 
     Every ``_FACE_EVERY`` updates the run may move to another face of the
     policy simplex. An input whose update is below 1e-3 and still falling is
@@ -227,8 +252,8 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     support; it starts at log2|Y|, which bounds every rate. Rounding can put
     it an ulp below the rate; it is reported as at least that. A change of
     face can lower the rate, so the best policy seen is returned. Returns
-    (theta, value, upper, counts): the counts of updates and of dropped and
-    re-admitted inputs.
+    (theta, value, upper, counts): the counts of updates, of dropped and
+    re-admitted inputs, and of accepted trials with a secant correction.
     """
     value, exact = model.forward(theta)
     best = value, theta
@@ -236,7 +261,8 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     upper = float(np.log2(model.y_size))
     kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs, never dropped again
     omega = 1.0
-    iters = pruned = readmitted = 0
+    last = None  # (theta_k - theta_{k-1}, step at theta_{k-1}) after a plain or accepted update
+    iters = pruned = readmitted = accelerated = 0
     while True:
         epoch = model.prunes and (iters + 1) % _FACE_EVERY == 0
         if epoch:
@@ -262,25 +288,40 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             update[drop] = -np.inf
             update -= _logsumexp(update)
             best = max(best, (value, theta), key=lambda b: b[0])
+            last = None
             if n_back:
                 omega = 1.0
-        elif omega > 1.0:
-            with np.errstate(invalid="ignore"):  # -inf - -inf on dropped inputs
-                trial = theta + omega * (update - theta)
-            trial[np.isnan(trial)] = -np.inf
-            trial -= _logsumexp(trial)
-            trial_value, trial_exact = model.forward(trial)
-            if trial_value >= value:
-                theta, value, exact = trial, trial_value, trial_exact
-                omega *= 1.5
-                continue
-            omega = 1.0
         else:
-            omega = 1.5
+            with np.errstate(invalid="ignore"):  # -inf - -inf on dropped inputs
+                step = update - theta
+            step[np.isnan(step)] = 0.0
+            move, gamma = omega * step, 0.0
+            if last is not None and model.accelerates:
+                dx, dg = last[0], step - last[1]
+                weighted = model.mass * np.exp(theta) * dg
+                den = float(np.vdot(weighted, dg))
+                if den > 0.0:
+                    gamma = float(np.vdot(weighted, step)) / den
+                    move -= gamma * (dx + omega * dg)
+            if omega == 1.0 and gamma == 0.0:  # the trial is the plain update
+                omega, last = 1.5, (step, step)
+            else:
+                trial = theta + move
+                shift = _logsumexp(trial)
+                trial -= shift
+                trial_value, trial_exact = model.forward(trial)
+                if trial_value >= value:
+                    accelerated += gamma != 0.0
+                    last = move - shift, step
+                    theta, value, exact = trial, trial_value, trial_exact
+                    omega = min(1.5 * omega, _OMEGA_MAX)
+                    continue
+                omega, last = 1.0, (step, step)
         theta, update = update, np.empty_like(update)
         value, exact = model.forward(theta)
     value, theta = max(best, (value, theta), key=lambda b: b[0])
-    counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted}
+    counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted,
+              "accelerated": accelerated}
     return theta, value, max(upper, value), counts
 
 
@@ -312,8 +353,9 @@ def optimize_rate(
     p(x^N || y^{N-1}), which enters the joint law linearly, so the rate
     linearized at any policy, maximized over deterministic causal
     policies, bounds the optimum from above. ``diagnostics`` holds
-    ``converged`` and ``_ascend``'s counts: ``iterations``, and the inputs
-    ``pruned`` (dropped to probability 0) and ``readmitted``.
+    ``converged`` and ``_ascend``'s counts: ``iterations``, the inputs
+    ``pruned`` (dropped to probability 0) and ``readmitted``, and the
+    ``accelerated`` (secant-corrected) moves accepted.
     """
     cfg = cfg or OptimizerSettings()
     model = _Lattice(u, s0, horizon)

@@ -144,8 +144,11 @@ def _resolve_settings(args, file_block: dict | None = None):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    cfg = OptimizerSettings(max_iters=int(merged["max_iters"]), tol=float(merged["tol"]))
-    return cfg, int(merged["seed"])
+    try:
+        cfg = OptimizerSettings(max_iters=int(merged["max_iters"]), tol=float(merged["tol"]))
+        return cfg, int(merged["seed"])
+    except TypeError as exc:  # a null or a list in the channel file's block
+        raise ValidationError(f"optimizer settings must be numbers: {exc}") from None
 
 
 def _load_unifilar(path):

@@ -185,11 +185,16 @@ class _PathModel:
     step at a time through the step's channel factor: z into the
     Blahut-Arimoto policy update, L into the best deterministic policy's
     value of the rate linearized at the current policy.
+
+    ``_ascend`` runs it unaccelerated: it keeps no node masses to weigh the
+    secant step by, so it takes the plain over-relaxed trial, an ascent
+    independent of the lattice's accelerated one.
     """
 
     # ``backward`` has no re-admission test, and a dropped input's -inf
     # would turn the posterior fold into NaN: ``_ascend`` keeps every input
     prunes = False
+    accelerates = False  # no node masses: ``_ascend`` takes no secant step
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         self.factors = []

@@ -402,6 +402,16 @@ def test_optimize_horizon_guard():
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("settings", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"max_iters": -5},
+])
+def test_optimizer_settings_reject_malformed_values(settings):
+    # a bracket never closes below tol <= 0, NaN compares false with any
+    # width, and an infinite tol stops before the first update
+    with pytest.raises(ValidationError):
+        OptimizerSettings(**settings)
+
+
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_optimize_rejects_horizons_below_one(horizon):
     u = noiseless_z_pair(0.25).channel
@@ -494,6 +504,7 @@ def test_optimize_trapdoor_at_horizon_ten():
     start = time.perf_counter()
     est = optimize_rate(trapdoor(), 0, 10, OptimizerSettings(max_iters=300))
     elapsed = time.perf_counter() - start
+    assert est.diagnostics["converged"]
     assert 0.6659 < est.value <= est.upper < 0.6660
     assert elapsed < 5.0
 
@@ -537,13 +548,92 @@ def test_face_restriction_closes_the_degenerate_trapdoor_cells(n):
     assert est.diagnostics == {**counts, "converged": True}
 
 
+class RecordingLattice(_Lattice):
+    """A lattice that keeps the rate of the last policy it evaluated: when
+    ``_ascend`` stops, that of its final iterate."""
+
+    def forward(self, theta):
+        self.last, exact = super().forward(theta)
+        return self.last, exact
+
+
 def test_face_restriction_never_lowers_the_reported_rate():
-    """A change of face can lower the rate (on the trapdoor at N = 7, the one
-    at update 160 does), but a run reports the best policy it saw, so its
-    rate never falls as the iteration cap grows."""
-    values = [optimize_rate(trapdoor(), 0, 7, OptimizerSettings(max_iters=cap)).value
-              for cap in range(157, 163)]
+    """A change of face can lower the rate: on the trapdoor at N = 6, the
+    92 inputs dropped at update 32 cost the iterate 4e-9. A run reports the
+    best policy it saw, so its rate never falls as the iteration cap grows."""
+    values, iterates, pruned = [], [], []
+    for cap in range(29, 36):
+        model = RecordingLattice(trapdoor(), 0, 6)
+        _, value, _, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)),
+                                      OptimizerSettings(max_iters=cap))
+        values.append(value)
+        iterates.append(model.last)
+        pruned.append(counts["pruned"])
     assert values == sorted(values)
+    lowered = [k for k in range(1, len(values))
+               if pruned[k] > pruned[k - 1] and iterates[k] < values[k - 1] - 1e-9]
+    assert lowered
+    assert all(values[k] == values[k - 1] for k in lowered)
+
+
+@pytest.mark.parametrize("n, capped", [(7, 0.653809139317), (10, 0.665947907681)])
+def test_secant_step_closes_the_deep_trapdoor_cells(n, capped):
+    """From N = 7 inputs of the trapdoor's optimum vanish one after another,
+    and 2,000 over-relaxed updates left the bracket near 2e-9 at the rate
+    ``capped``; the secant correction closes it within 300."""
+    est = optimize_rate(trapdoor(), 0, n, OptimizerSettings(max_iters=300))
+    assert est.diagnostics["converged"]
+    assert est.diagnostics["accelerated"] > 0
+    assert est.value >= capped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_secant_step_closes_the_flat_memoryless_cell(n):
+    """A near-useless binary channel's rate is flat in the policy, and the
+    over-relaxed update, reset at every overshoot, took thousands of updates
+    to close its bracket."""
+    u = single_state([[0.4233, 0.5767], [0.4355, 0.5645]])
+    cfg = OptimizerSettings(max_iters=50)
+    est, one = optimize_rate(u, 0, n, cfg), optimize_rate(u, 0, 1, cfg)
+    assert est.diagnostics["converged"]
+    # feedback does not raise a memoryless channel's capacity: C_N = C_1
+    assert one.value - 1e-12 <= est.upper and est.value <= one.upper + 1e-12
+
+
+def test_secant_step_weighs_by_the_node_masses():
+    """The secant fit weighs each entry by P(node) pi(x | node). Unweighted,
+    columns no path reaches, such as the other initial state's root, drive
+    the fit, and the run crawls: 500 updates left these cells open by up to
+    2e-4."""
+    w = np.array([[[1/2, 1/2], [2/3, 1/3]], [[3/4, 1/4], [2/5, 3/5]]])
+    f = np.array([[[1, 1], [0, 0]], [[1, 0], [0, 1]]])
+    u = UnifilarChannel(w, f)
+    for n in (1, 2, 3):
+        for s0 in (0, 1):
+            est = optimize_rate(u, s0, n, OptimizerSettings(max_iters=100))
+            assert est.diagnostics["converged"]
+
+
+def test_ascent_keeps_every_trial_finite_once_the_rate_is_flat():
+    """Past convergence every over-relaxed trial ties with the rate to
+    rounding and is accepted; omega is capped, so the steps never overflow
+    into a NaN policy."""
+    model = ColumnCheckedLattice(mixing_pair(0.25, 0.125).channel, 0, 2)
+    cfg = OptimizerSettings(max_iters=2000, tol=1e-300)  # a bracket no rounding reaches
+    with np.errstate(invalid="raise", over="raise"):
+        _, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)), cfg)
+    assert counts["iterations"] == 2000
+    assert 0.0 <= upper - value < 1e-15
+
+
+def test_path_oracle_runs_the_plain_over_relaxed_step():
+    # it has no node masses to weigh the secant step by
+    model = _PathModel(trapdoor(), 0, 4)
+    _, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)), AGREE)
+    assert counts["accelerated"] == 0
+    est = optimize_rate(trapdoor(), 0, 4, AGREE)
+    assert est.diagnostics["accelerated"] > 0
+    assert value <= est.upper + 1e-12 and est.value <= upper + 1e-12
 
 
 @pytest.mark.parametrize("dropped", [0, 1])

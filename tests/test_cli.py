@@ -496,6 +496,27 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     assert err.count("restarts is ignored") == 2  # once for the file, once for the flag
 
 
+@pytest.mark.parametrize("argv", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--max-iters", "-5"),
+])
+@pytest.mark.parametrize("command", ["capacity", "discontinuity-demo"])
+def test_solver_flags_that_can_never_converge_fail_cleanly(frozen_channel, capsys, command, argv):
+    cell = (str(frozen_channel), "--s0", "0") if command == "capacity" else ("--eps", "1/4")
+    code, out, err = run_cli(capsys, command, *cell, "--n", "1", *argv)
+    assert one_error_line(code, out, err)
+
+
+@pytest.mark.parametrize("block", [{"tol": -1}, {"tol": 0}, {"max_iters": -5}, {"tol": None},
+                                   {"seed": [1]}])
+def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
+    from fscfb import dumps_channel, noiseless_z_pair
+
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer=block))
+    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1")
+    assert one_error_line(code, out, err)
+
+
 def test_json_format_parses_and_echoes_seed(frozen_channel, capsys):
     code, out, _ = run_cli(
         capsys, "capacity", str(frozen_channel), "--n", "1", "--s0", "0",
