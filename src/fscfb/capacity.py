@@ -27,6 +27,9 @@ _LN2 = float(np.log(2.0))
 _LN_FLOOR = float(np.log(1e-3))  # drop inputs the update lowers below this; re-admit at it
 _FACE_EVERY = 32                 # updates between changes of the policy's support
 _OMEGA_MAX = 1.5**40             # trials tie once the rate is flat to rounding; omega stops here
+_MEMORY = 4                      # update pairs each secant step is fitted to
+_RIDGE = 1e-8                    # on the unit diagonal of the secant fit
+_BLOCK = 1 << 14                 # columns per pass of a large secant fit's Gram product
 
 
 def binary_entropy(p: float) -> float:
@@ -70,12 +73,13 @@ def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
         )
 
 
-def _logsumexp(t):
-    """ln sum_x exp t[x, h] for every column h."""
+def _logsumexp(t, out=None):
+    """ln sum_x exp t[x, h] for every column h, written into ``out`` if given."""
     if len(t) == 2:
-        return np.logaddexp(t[0], t[1])  # one ufunc in place of six
-    top = t.max(axis=0)
-    return np.log(np.exp(t - top).sum(axis=0)) + top
+        return np.logaddexp(t[0], t[1], out=out)  # one ufunc in place of six
+    top = np.maximum.reduce(t, axis=0)
+    total = np.add.reduce(np.exp(t - top), axis=0)
+    return np.add(np.log(total, out=total), top, out=out)
 
 
 class _Lattice:
@@ -105,7 +109,7 @@ class _Lattice:
     """
 
     prunes = True  # ``backward`` re-admits excluded inputs, so ``_ascend`` may drop them
-    accelerates = True  # ``rate`` keeps the node masses the secant step weighs by
+    accelerates = True  # ``rate`` keeps the Fisher weights the secant step fits in
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         _check_cell(u, s0, horizon)
@@ -113,17 +117,28 @@ class _Lattice:
         self.shape, self.s0, self.horizon, self.y_size = u.w.shape, s0, horizon, y
         self.t = compose_unifilar(u).law.transpose(1, 0, 3, 2).reshape(x * s, s * y)
         self.tq = u.w.transpose(1, 0, 2).reshape(x * s, y)
-        # sum_y W ln W per (x, s), one row per entry of a step's joint table
-        wlnw = u.w * np.log(np.where(u.w > 0, u.w, 1.0))
-        self.wlnw = wlnw.sum(axis=2).T.reshape(x * s, 1)
-        # the forward pass's tables: a step's transitions, then a row that sums E ln W
-        self.transfer = [np.vstack((step.T, self.wlnw.T))
-                         for step in [self.t] * (horizon - 1) + [self.tq]]
+        self.transfer = [step.T.copy() for step in [self.t] * (horizon - 1) + [self.tq]]
         self.root = np.eye(s)[s0]
         offsets = np.concatenate(([0], np.cumsum(s * y ** np.arange(horizon))))
         self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.theta_shape = (x, int(offsets[-1]))
-        self.mass = np.empty(self.theta_shape[1])
+        self.joint = np.empty(self.theta_shape)
+        # sum_y W ln W per (x, s), and laid out like theta: E ln Wseq = <joint, wlnw>
+        wlnw = (u.w * np.log(np.where(u.w > 0, u.w, 1.0))).sum(axis=2).T
+        self.wlnw = np.concatenate([np.repeat(wlnw, y**n, axis=1) for n in range(horizon)], axis=1)
+        # ``backward`` multiplies [t | sum_y W ln W] by step n's Z and V, stacked
+        # over a row of ones, so that one product gives both gains of step
+        # n - 1: ``zv[n]`` holds them split by the latest output, with
+        # ``zv_rows[n]`` the flat views it writes (``zv[0]`` is the root's),
+        # and ``zq`` holds Z_N = V_N = -ln Q(y^N) the same way.
+        wlnw = wlnw.reshape(x * s, 1)
+        self.tzv = np.concatenate((self.t, wlnw), axis=1)
+        self.tqz = np.concatenate((self.tq, wlnw), axis=1)
+        self.zv = [np.empty((2, s))] + [np.ones((2, s * y + 1, y**n)) for n in range(horizon - 1)]
+        self.zv_rows = [tuple(self.zv[0])] + [(b[0, :-1].reshape(-1), b[1, :-1].reshape(-1))
+                                              for b in self.zv[1:]]
+        self.zq = np.ones((y + 1, y ** (horizon - 1)))
+        self.z_out = self.zq[:-1].reshape(-1)
 
     @cached_property
     def reachable(self):
@@ -138,25 +153,24 @@ class _Lattice:
 
     def rate(self, pi):
         """The rate of the policy table ``pi`` (probabilities, laid out like
-        theta), Q(y^N), and ln Q with 0 where Q = 0. Each column's node mass
-        P(s_{n-1}, y^{n-1}) is kept in ``self.mass``, laid out like theta's
-        columns."""
+        theta), Q(y^N), and ln Q with 0 where Q = 0. The joint law
+        P(s_{n-1}, y^{n-1}) pi_n(x | s_{n-1}, y^{n-1}) of each entry, the
+        secant step's Fisher weight, is kept in ``self.joint``."""
         s, x, _ = self.shape
         alpha = self.root
-        expected = 0.0  # E ln Wseq
         for cols, transfer in zip(self.steps, self.transfer):
-            self.mass[cols] = alpha
-            mass = transfer @ (pi[:, cols] * alpha).reshape(x * s, -1)
-            expected += float(mass[-1].sum())
-            alpha = mass[:-1].ravel()
+            joint = np.multiply(pi[:, cols], alpha, out=self.joint[:, cols])
+            alpha = (transfer @ joint.reshape(x * s, -1)).ravel()
         lnq = np.log(alpha + (alpha == 0))
+        expected = float(np.vdot(self.joint, self.wlnw))  # E ln Wseq
         return (expected - float(alpha @ lnq)) / (self.horizon * _LN2), alpha, lnq
 
     def forward(self, theta):
-        """The rate of the policy exp(theta), and whether the linearized rate
-        the bound rests on is exact."""
-        self.theta = theta
-        value, q, self.lnq = self.rate(np.exp(theta))
+        """The rate of the policy exp(theta), kept in ``self.pi``, and whether
+        the linearized rate the bound rests on is exact."""
+        self.theta, self.pi = theta, np.exp(theta)
+        value, q, lnq = self.rate(self.pi)
+        np.negative(lnq, out=self.z_out)
         return value, bool(np.count_nonzero(q) == self.reachable)
 
     def policy(self, theta):
@@ -175,21 +189,19 @@ class _Lattice:
         by at least ``admit`` violates the optimality (KKT) conditions by
         that much; its update entry is written as ln 1e-3, not -inf, and the
         column is left unnormalized."""
-        s, x, y = self.shape
-        # sum_y W [ln W + Z_n] and the same with V_n; Z_N = V_N
-        ez = ev = self.tq @ -self.lnq.reshape(y, -1) + self.wlnw
+        x = self.shape[1]
+        gz = gv = (self.tqz @ self.zq).reshape(x, -1)  # sum_y W [ln W + Z_N], and with V_N
         for n in range(self.horizon - 1, -1, -1):
-            cols = self.steps[n]
-            gain = ez.reshape(x, -1)
-            ez = gain + self.theta[:, cols]
-            z = _logsumexp(ez)
-            np.subtract(ez, z, out=out[:, cols])
+            cols, (z, v) = self.steps[n], self.zv_rows[n]
+            ez = out[:, cols]
+            np.add(gz, self.theta[:, cols], out=ez)
+            _logsumexp(ez, out=z)
+            np.subtract(ez, z, out=ez)
             if admit is not None:
-                out[:, cols][np.isneginf(ez) & (gain >= z + admit)] = _LN_FLOOR
-            v = ev.reshape(x, -1).max(axis=0)
+                ez[np.isneginf(ez) & (gz >= z + admit)] = _LN_FLOOR
+            np.maximum.reduce(gv, axis=0, out=v)
             if n:
-                ez = self.t @ z.reshape(s * y, -1) + self.wlnw
-                ev = self.t @ v.reshape(s * y, -1) + self.wlnw
+                gz, gv = (self.tzv @ self.zv[n]).reshape(2, x, -1)
         return float(v[self.s0]) / (self.horizon * _LN2)
 
 
@@ -208,6 +220,54 @@ def iid_rate(u: UnifilarChannel, s0: int, dist, horizon: int) -> float:
     return value
 
 
+def _gram(rows, weight):
+    """rows diag(weight) rows^T, in nested lists, summed ``_BLOCK`` columns
+    at a time, so that the weighted copy of the rows stays in cache: at
+    N = 18, five rows of 2^20 entries take 8 ms that way and 28 ms in one
+    pass. A table of at most ``_BLOCK`` columns is one block."""
+    blocks = (slice(a, a + _BLOCK) for a in range(0, len(weight), _BLOCK))
+    return sum((rows[:, b] * weight[b]) @ rows[:, b].T for b in blocks).tolist()
+
+
+def _secant(gram):
+    """The coefficients gamma of the secant step from the Gram matrix, in
+    nested lists, of g, dg_1, .., dg_k: the least-squares fit of g by the
+    dg's, with ``_RIDGE`` added to the diagonal of their block A once A is
+    scaled to a unit diagonal; that is, A's diagonal grows by the factor
+    1 + ``_RIDGE``. A dg of zero weight gets gamma 0. The system is at most
+    ``_MEMORY`` square and positive definite, so Gaussian elimination
+    without pivoting, in plain floats, solves it."""
+    k = len(gram) - 1
+    rows = [row[1:] + row[:1] for row in gram[1:]]  # [A | b]
+    for i, row in enumerate(rows):
+        row[i] = row[i] * (1.0 + _RIDGE) if row[i] > 0.0 else 1.0
+    for i, pivot in enumerate(rows):
+        for row in rows[i + 1:]:
+            f = row[i] / pivot[i]
+            for j in range(i + 1, k + 1):
+                row[j] -= f * pivot[j]
+    gamma = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        total = row[k]
+        for j in range(i + 1, k):
+            total -= row[j] * gamma[j]
+        gamma[i] = total / row[i]
+    return gamma
+
+
+def _drop_underflows(theta, pi):
+    """Set to -inf every finite entry of ``theta`` whose probability
+    ``pi`` = exp(theta) underflows to 0, which leaves the policy as it is;
+    return their count."""
+    under = pi == 0.0
+    under &= np.isfinite(theta)
+    count = int(np.count_nonzero(under))
+    if count:
+        theta[under] = -np.inf
+    return count
+
+
 def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     """Over-relaxed Blahut-Arimoto from the log-policy ``theta``.
 
@@ -216,36 +276,48 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     which never does; omega grows 1.5-fold on every accepted move, up to
     ``_OMEGA_MAX``, and is reset to 1 on a rejected one. With g = theta_BA -
     theta on the finite entries, the trial is theta + omega g, corrected by
-    one secant (Anderson) step: given dx = theta - theta' and dg = g - g'
-    from the last plain or accepted update theta' -> theta,
-    theta + omega g - gamma (dx + omega dg) with
-    gamma = <dg, g>_w / <dg, dg>_w, which cancels the part of g the last
-    step predicts. The weight w = P(node) pi(x | node) of each entry, the
-    Fisher metric of the policy (Matz & Duhamel, ITW 2004), keeps columns no
-    path reaches out of the fit. A rejection restarts the history from the
-    plain update, where omega = 1 still takes the corrected trial; a change
-    of face clears it. Models without node masses (``accelerates`` false)
-    take the uncorrected trial, which at omega = 1 is theta_BA itself.
+    a secant (Anderson) step over the last ``_MEMORY`` plain or accepted
+    updates: with dx_i and dg_i the changes of theta and of g over update i,
+    theta + omega g - sum_i gamma_i (dx_i + omega dg_i), where gamma is the
+    least-squares fit of g by the dg_i in the weighted inner product
+    <a, b>_w = sum w a b (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).
+    It cancels the part of g that the recent updates predict; with one pair,
+    gamma = <dg, g>_w / <dg, dg>_w. ``_secant`` scales the fit to a unit
+    diagonal and adds ``_RIDGE`` to it, so nearly parallel dg's cannot blow
+    gamma up. The weight w = P(node) pi(x | node) of each entry, the Fisher
+    metric of the policy (Matz & Duhamel, ITW 2004), keeps columns no path
+    reaches out of the fit. A rejection restarts the history from the plain
+    update, where omega = 1 still takes the corrected trial; a change of
+    face clears it. Models without node masses (``accelerates`` false) take
+    the uncorrected trial, which at omega = 1 is theta_BA itself.
 
     Every ``_FACE_EVERY`` updates the run may move to another face of the
     policy simplex. An input whose update is below 1e-3 and still falling is
     dropped, set to exactly 0 (theta = -inf), which the multiplicative
     update keeps; a normalized column cannot lower every entry, so each
-    keeps one. A dropped input comes back at 1e-3, never to be dropped
-    again, when the policy misses an output sequence the channel can emit
-    (no optimum does: the rate's slope toward such a sequence is infinite),
-    or when ``model.backward`` finds it violating the optimality conditions
-    by at least the current gap, upper - value in nats per use. At a fixed
-    point on a face the gap is at most the largest violation, since
-    V_0 - Z_0, N ln 2 times the gap there, gains at most one violation per
-    step. So a face without the optimum cannot hold the run, while an input
-    that vanishes only in the limit is not brought back by the small
-    violations on the way there. The faces cannot cycle. A change of face
-    is a renormalized plain step; omega carries over a drop, which moves
-    the policy by less than 1e-3, and is reset to 1 by a re-admission. An
+    keeps one. A dropped input comes back at 1e-3 when the policy misses an
+    output sequence the channel can emit (no optimum does: the rate's slope
+    toward such a sequence is infinite), or when ``model.backward`` finds it
+    violating the optimality conditions by at least the current gap,
+    upper - value in nats per use; a re-admitted input is exempt from later
+    epochs' drops. At a fixed point on a face the gap is at most the largest
+    violation, since V_0 - Z_0, N ln 2 times the gap there, gains at most
+    one violation per step. So a face without the optimum cannot hold the
+    run, while an input that vanishes only in the limit is not brought back
+    by the small violations on the way there. A change of face is a
+    renormalized plain step; omega carries over a drop, which moves the
+    policy by less than 1e-3, and is reset to 1 by a re-admission. An
     optimum on the boundary, which the update approaches only like 1/k, is
-    then approached at the update's linear rate on its face. Models without
-    re-admission (``prunes`` false) keep every input.
+    then approached at the update's linear rate on its face. An entry whose
+    probability underflows to 0, which a long over-relaxed step can leave
+    finite far below any floor, is dropped too as soon as an iterate holds
+    it, and counted as a drop: finite, the re-admission test would never see
+    it, and the update would take thousands of steps to raise it. This
+    drops re-admitted inputs as well, so an input can leave and come back
+    more than once; what keeps that from cycling is only the re-admission
+    rule, which brings an input back when its violation is what holds the
+    bracket open. Models without re-admission (``prunes`` false) keep every
+    input.
 
     The upper bound is the linearized rate's maximum over every
     deterministic policy, dropped inputs included, so it holds whatever the
@@ -253,16 +325,25 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     it an ulp below the rate; it is reported as at least that. A change of
     face can lower the rate, so the best policy seen is returned. Returns
     (theta, value, upper, counts): the counts of updates, of dropped and
-    re-admitted inputs, and of accepted trials with a secant correction.
+    re-admitted inputs, of accepted trials with a secant correction and of
+    rejected trials.
     """
     value, exact = model.forward(theta)
     best = value, theta
     update = np.empty_like(theta)
     upper = float(np.log2(model.y_size))
-    kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs, never dropped again
+    kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs: no epoch drops them
     omega = 1.0
-    last = None  # (theta_k - theta_{k-1}, step at theta_{k-1}) after a plain or accepted update
-    iters = pruned = readmitted = accelerated = 0
+    # g at the current iterate, then the dg_i and the dx_i, in rings of _MEMORY
+    history = np.zeros((1 + 2 * _MEMORY,) + theta.shape)
+    step, dgs, dxs = history[0], history[1:1 + _MEMORY], history[1 + _MEMORY:]
+    flat = history.reshape(len(history), -1)
+    weight = model.joint.reshape(-1) if model.accelerates else None
+    last_step = np.empty(theta.shape)
+    # pairs recorded since the history was cleared; once pending, the last
+    # move's dx sits in its ring slot and its g in last_step, waiting for dg
+    pairs, pending = 0, False
+    iters = pruned = readmitted = accelerated = rejected = 0
     while True:
         epoch = model.prunes and (iters + 1) % _FACE_EVERY == 0
         if epoch:
@@ -288,40 +369,50 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             update[drop] = -np.inf
             update -= _logsumexp(update)
             best = max(best, (value, theta), key=lambda b: b[0])
-            last = None
+            pairs, pending = 0, False
             if n_back:
                 omega = 1.0
         else:
-            with np.errstate(invalid="ignore"):  # -inf - -inf on dropped inputs
-                step = update - theta
-            step[np.isnan(step)] = 0.0
-            move, gamma = omega * step, 0.0
-            if last is not None and model.accelerates:
-                dx, dg = last[0], step - last[1]
-                weighted = model.mass * np.exp(theta) * dg
-                den = float(np.vdot(weighted, dg))
-                if den > 0.0:
-                    gamma = float(np.vdot(weighted, step)) / den
-                    move -= gamma * (dx + omega * dg)
-            if omega == 1.0 and gamma == 0.0:  # the trial is the plain update
-                omega, last = 1.5, (step, step)
+            step.fill(0.0)  # g is 0 on dropped inputs
+            np.subtract(update, theta, out=step, where=np.isfinite(theta + update))
+            if pending:  # the last move's pair is complete
+                np.subtract(step, last_step, out=dgs[pairs % _MEMORY])
+                pairs += 1
+            np.copyto(last_step, step)
+            pending, gamma = True, ()
+            if pairs and weight is not None:
+                fit = flat[:min(pairs, _MEMORY) + 1]
+                gamma = _secant(_gram(fit, weight))
+            dx = dxs[pairs % _MEMORY]  # where this update's move goes
+            if omega == 1.0 and not any(gamma):  # the trial is the plain update
+                omega = 1.5
+                np.copyto(dx, step)
             else:
+                pad = [0.0] * (_MEMORY - len(gamma))
+                coef = [omega, *(-omega * c for c in gamma), *pad, *(-c for c in gamma), *pad]
+                move = np.dot(coef, flat).reshape(theta.shape)
                 trial = theta + move
                 shift = _logsumexp(trial)
                 trial -= shift
                 trial_value, trial_exact = model.forward(trial)
                 if trial_value >= value:
-                    accelerated += gamma != 0.0
-                    last = move - shift, step
+                    accelerated += any(gamma)
+                    if model.prunes:
+                        pruned += _drop_underflows(trial, model.pi)
+                    np.subtract(move, shift, out=dx)
                     theta, value, exact = trial, trial_value, trial_exact
                     omega = min(1.5 * omega, _OMEGA_MAX)
                     continue
-                omega, last = 1.0, (step, step)
+                rejected += 1
+                omega, pairs = 1.0, 0
+                np.copyto(dxs[0], step)
         theta, update = update, np.empty_like(update)
         value, exact = model.forward(theta)
+        if model.prunes:
+            pruned += _drop_underflows(theta, model.pi)
     value, theta = max(best, (value, theta), key=lambda b: b[0])
     counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted,
-              "accelerated": accelerated}
+              "accelerated": accelerated, "rejected": rejected}
     return theta, value, max(upper, value), counts
 
 
@@ -354,8 +445,9 @@ def optimize_rate(
     linearized at any policy, maximized over deterministic causal
     policies, bounds the optimum from above. ``diagnostics`` holds
     ``converged`` and ``_ascend``'s counts: ``iterations``, the inputs
-    ``pruned`` (dropped to probability 0) and ``readmitted``, and the
-    ``accelerated`` (secant-corrected) moves accepted.
+    ``pruned`` (dropped to probability 0) and ``readmitted``, the
+    ``accelerated`` (secant-corrected) moves accepted and the trials
+    ``rejected``.
     """
     cfg = cfg or OptimizerSettings()
     model = _Lattice(u, s0, horizon)

@@ -144,11 +144,21 @@ def _resolve_settings(args, file_block: dict | None = None):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    try:
-        cfg = OptimizerSettings(max_iters=int(merged["max_iters"]), tol=float(merged["tol"]))
-        return cfg, int(merged["seed"])
-    except TypeError as exc:  # a null or a list in the channel file's block
-        raise ValidationError(f"optimizer settings must be numbers: {exc}") from None
+    cfg = OptimizerSettings(max_iters=_setting(merged, "max_iters", int),
+                            tol=_setting(merged, "tol", float))
+    return cfg, _setting(merged, "seed", int)
+
+
+def _setting(merged, key, kind):
+    """``merged[key]`` as a ``kind``. A boolean, a string, a null or a list
+    is refused, and so is an int setting with a fractional part: 2.0 passes,
+    2.5 is not truncated to 2 nor ``true`` read as 1."""
+    value = merged[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"optimizer setting {key} must be a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValidationError(f"optimizer setting {key} must be a whole number, got {value!r}")
+    return kind(value)
 
 
 def _load_unifilar(path):

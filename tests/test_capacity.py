@@ -24,7 +24,8 @@ from fscfb import (
     optimize_rate,
     z_channel_closed_form,
 )
-from fscfb.capacity import _ascend, _Lattice
+from fscfb import capacity
+from fscfb.capacity import _ascend, _Lattice, _secant
 from conftest import brute_directed_info, brute_joint, rand_policy, rand_unifilar
 from oracle import (
     CausalPolicy,
@@ -558,12 +559,12 @@ class RecordingLattice(_Lattice):
 
 
 def test_face_restriction_never_lowers_the_reported_rate():
-    """A change of face can lower the rate: on the trapdoor at N = 6, the
-    92 inputs dropped at update 32 cost the iterate 4e-9. A run reports the
+    """A change of face can lower the rate: on the trapdoor at N = 10, the
+    522 inputs dropped at update 32 cost the iterate 4e-9. A run reports the
     best policy it saw, so its rate never falls as the iteration cap grows."""
     values, iterates, pruned = [], [], []
     for cap in range(29, 36):
-        model = RecordingLattice(trapdoor(), 0, 6)
+        model = RecordingLattice(trapdoor(), 0, 10)
         _, value, _, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)),
                                       OptimizerSettings(max_iters=cap))
         values.append(value)
@@ -612,6 +613,115 @@ def test_secant_step_weighs_by_the_node_masses():
         for s0 in (0, 1):
             est = optimize_rate(u, s0, n, OptimizerSettings(max_iters=100))
             assert est.diagnostics["converged"]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_secant_history_closes_the_trapdoor_cells_within_sixty_updates(n):
+    """Fitted to the last four updates, the secant step closes every
+    trapdoor cell up to N = 12 just after the first change of face; fitted
+    to the last one, N = 5 to 9 took 63 to 153 updates."""
+    for s0 in (0, 1):
+        est = optimize_rate(trapdoor(), s0, n, OptimizerSettings(max_iters=60))
+        assert est.diagnostics["converged"]
+
+
+def underflowed(theta):
+    """The finite entries of a log-policy whose probability is exactly 0."""
+    return np.isfinite(theta) & (np.exp(theta) == 0.0)
+
+
+@pytest.mark.parametrize("s0", [0, 1])
+def test_underflowed_inputs_are_dropped_so_the_deep_trapdoor_closes(s0):
+    """An over-relaxed step can leave an input at theta = -12,194: finite, so
+    neither the drop rule nor the re-admission test saw it, though its
+    probability is 0. The trapdoor at N = 16 then stalled 1.9e-6 open for
+    2,000 updates; with such entries dropped it closes just after the first
+    change of face."""
+    model = _Lattice(trapdoor(), s0, 16)
+    with np.errstate(invalid="raise"):
+        theta, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)),
+                                              OptimizerSettings(max_iters=100))
+    assert upper - value < FAST.tol
+    assert not underflowed(theta).any()
+    assert value >= 0.6765579871
+
+
+class UnderflowCheckedLattice(_Lattice):
+    """A lattice that checks every iterate the update is computed from: no
+    finite entry whose probability is 0."""
+
+    def backward(self, out, admit=None):
+        assert not underflowed(self.theta).any()
+        return super().backward(out, admit)
+
+
+@pytest.mark.parametrize("seed", [199, 4468])
+def test_plain_updates_drop_their_underflowed_inputs_too(seed):
+    """Not only an over-relaxed trial can push a probability to 0: on these
+    random channels, found by a search over 5,000, a plain update does."""
+    rng = np.random.default_rng(seed)
+    s, x, y = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    n = int(rng.integers(1, 4 if x * y == 4 else 3))
+    w = stochastic(rng, (s, x, y), zeros=bool(rng.integers(0, 2)))
+    u = UnifilarChannel(w, rng.integers(0, s, size=(s, x, y)))
+    model = UnderflowCheckedLattice(u, int(rng.integers(0, s)), n)
+    _ascend(model, np.full(model.theta_shape, -np.log(x)), OptimizerSettings(max_iters=200))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("s0", [0, 1])
+def test_readmitted_inputs_that_underflow_are_dropped_and_the_cell_still_closes(
+        monkeypatch, s0, n):
+    """The underflow drop spares no input, re-admitted ones included. From
+    the policy that always sends 0, the trapdoor misses output sequences, so
+    the first change of face re-admits 62 to 126 inputs, and the
+    over-relaxed steps after it push some of them back to probability 0;
+    the run still closes, in 65 to 83 updates."""
+    seen, drop = {"hits": 0, "dropped": None}, capacity._drop_underflows
+
+    def spy(theta, pi):
+        dropped = seen["dropped"]
+        if dropped is None:
+            dropped = seen["dropped"] = np.zeros(theta.shape, dtype=bool)
+        # finite now, and -inf in an earlier iterate: it was re-admitted
+        seen["hits"] += int(np.count_nonzero(underflowed(theta) & dropped))
+        count = drop(theta, pi)
+        dropped |= np.isneginf(theta)
+        return count
+
+    monkeypatch.setattr(capacity, "_drop_underflows", spy)
+    model = _Lattice(trapdoor(), s0, n)
+    theta = np.zeros(model.theta_shape)
+    theta[1] = -np.inf
+    with np.errstate(invalid="raise"):
+        theta, value, upper, counts = _ascend(model, theta, OptimizerSettings(max_iters=150))
+    assert seen["hits"] > 0 and counts["readmitted"] > 0
+    assert upper - value < FAST.tol
+    assert not underflowed(theta).any()
+    golden = optimize_rate(trapdoor(), s0, n)
+    assert value == pytest.approx(golden.value, abs=1e-9)
+
+
+def test_one_pair_secant_fit_is_the_closed_form():
+    """With one pair the fit is gamma = <dg, g>_w / <dg, dg>_w up to the
+    ridge; with more it solves the normal equations scaled to a unit
+    diagonal, and a pair of zero weight gets gamma 0."""
+    rng = np.random.default_rng(5)
+    g, weight = rng.normal(size=12), rng.random(12)
+    dgs = rng.normal(size=(4, 12))
+    fit = np.vstack((g, dgs[:1]))
+    (gamma,) = _secant(((fit * weight) @ fit.T).tolist())
+    assert gamma == pytest.approx(np.sum(weight * dgs[0] * g) / np.sum(weight * dgs[0] ** 2),
+                                  rel=1e-7)
+    fit = np.vstack((g, dgs))
+    gram = (fit * weight) @ fit.T
+    scale = np.diag(gram)[1:] ** -0.5
+    normal = gram[1:, 1:] * np.outer(scale, scale) + 1e-8 * np.eye(4)
+    expected = np.linalg.solve(normal, gram[0, 1:] * scale) * scale
+    np.testing.assert_allclose(_secant(gram.tolist()), expected, rtol=1e-9)
+    fit[2] = 0.0
+    gamma = _secant(((fit * weight) @ fit.T).tolist())
+    assert gamma[1] == 0.0 and all(np.isfinite(gamma))
 
 
 def test_ascent_keeps_every_trial_finite_once_the_rate_is_flat():
@@ -685,6 +795,16 @@ def test_optimize_bracket_is_certified(cell):
         assert evaluate_rate(u, s0, pol) <= est.upper + 1e-12
     picks = [np.eye(x)[rng.integers(0, x, size=(x * y) ** k)] for k in range(n)]
     assert evaluate_rate(u, s0, CausalPolicy(n, x, y, tuple(picks))) <= est.upper + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(unifilar_cells())
+def test_ascent_returns_no_underflowed_input(cell):
+    _, u, s0, n = cell
+    model = _Lattice(u, s0, n)
+    theta = _ascend(model, np.full(model.theta_shape, -np.log(u.x_size)),
+                    OptimizerSettings(max_iters=200))[0]
+    assert not underflowed(theta).any()
 
 
 @settings(max_examples=40, deadline=None)

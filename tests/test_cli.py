@@ -496,6 +496,18 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     assert err.count("restarts is ignored") == 2  # once for the file, once for the flag
 
 
+def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
+    from fscfb import dumps_channel, mixing_pair
+
+    path = tmp_path / "whole.json"
+    path.write_text(dumps_channel(mixing_pair("1/4", "1/8"), s0=0,
+                                  optimizer={"max_iters": 2.0, "seed": 7.0}))
+    code, out, _ = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["seed"] == 7
+    assert doc["rows"][0]["iterations"] == 2
+
+
 @pytest.mark.parametrize("argv", [
     ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--max-iters", "-5"),
 ])
@@ -507,7 +519,9 @@ def test_solver_flags_that_can_never_converge_fail_cleanly(frozen_channel, capsy
 
 
 @pytest.mark.parametrize("block", [{"tol": -1}, {"tol": 0}, {"max_iters": -5}, {"tol": None},
-                                   {"seed": [1]}])
+                                   {"seed": [1]}, {"max_iters": 2.5}, {"max_iters": True},
+                                   {"seed": 2.5}, {"seed": True}, {"tol": True},
+                                   {"max_iters": "5"}])
 def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
     from fscfb import dumps_channel, noiseless_z_pair
 
