@@ -28,9 +28,8 @@ from .channels import (
     strongly_connected,
     tv_distance,
 )
-from .channel_io import LoadedChannel, dumps_channel, load_channel, loads_channel, save_channel
+from .channel_io import LoadedChannel, dumps_channel, load_channel, loads_channel
 from .errors import (
-    ContractViolationError,
     DomainError,
     FscError,
     OracleError,
@@ -45,7 +44,6 @@ from .gallery import (
     inverse_k_pair,
     mixing_pair,
     noiseless_z_pair,
-    state_noise,
 )
 from .reduction import (
     CounterMachineOracle,

@@ -7,8 +7,8 @@ computed on the lattice of nodes (s_n, y^n): a forward pass carries
 P(s_n, y^n) to the output law Q(y^N), and a directed-information
 Blahut-Arimoto update, with the upper bound it certifies, folds back over
 the same nodes; the ascent over-relaxes it and corrects each trial by a
-secant step. A memoryless Blahut-Arimoto
-solver provides the single-state oracle.
+secant step. The same solver, on one state at horizon 1, gives the
+capacity of a memoryless channel.
 """
 
 from __future__ import annotations
@@ -508,45 +508,30 @@ class DmcCapacityResult:
     bracket: float
 
 
-def dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> DmcCapacityResult:
-    """Memoryless-channel capacity by alternating maximization.
+def dmc_capacity(w) -> DmcCapacityResult:
+    """Capacity of the memoryless channel ``w[x, y]``, in bits per use.
 
-    Iterates the multiplicative input update until the standard upper and
-    lower capacity bounds differ by less than ``tol`` and returns their
-    midpoint together with the maximizing input distribution.
+    Feedback does not raise a memoryless capacity, so this is the
+    Blahut-Arimoto solver on the one-state channel at horizon 1, with its
+    certificate [I(r), max_x D(W_x || Q)]: ``capacity`` is the bracket's
+    midpoint, ``bracket`` its width, ``iterations`` the solver's updates and
+    ``input_dist`` the returned input law r. A bracket that does not close
+    raises ``ResourceLimitError``.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise ShapeError(f"channel table must be 2-d, got shape {w.shape}")
-    if not np.all(w >= 0):  # written so that NaN fails it
-        raise ValidationError("channel has negative or NaN entries")
-    sums = w.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if not np.all(off <= POLICY_ROW_TOL):
-        x = int(np.argmax(off))
-        raise ValidationError(f"channel row x={x} sums to {sums[x]:.17g}")
-    x_size = w.shape[0]
-    logw = np.where(w > 0, np.log2(np.where(w > 0, w, 1.0)), 0.0)
-    r = np.full(x_size, 1.0 / x_size)
-    for it in range(1, max_iters + 1):
-        q = r @ w
-        logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
-        # d[x] = KL(w[x] || q) in bits; exact where w[x,y] > 0 implies q[y] > 0
-        d = (w * (logw - logq[None, :])).sum(axis=1)
-        lower = float(r @ d)
-        upper = float(d.max())
-        if upper - lower < tol:
-            return DmcCapacityResult(
-                capacity=(upper + lower) / 2.0,
-                input_dist=r,
-                iterations=it,
-                bracket=upper - lower,
-            )
-        r = r * np.exp2(d)
-        r = r / r.sum()
-    raise ResourceLimitError(
-        f"capacity bracket did not close below {tol} in {max_iters} iterations",
-        limit=max_iters,
+    u = UnifilarChannel(w[None], np.zeros((1,) + w.shape, dtype=int))
+    cfg = OptimizerSettings()
+    est = optimize_rate(u, 0, 1, cfg)
+    if not est.diagnostics["converged"]:
+        raise ResourceLimitError(
+            f"capacity bracket did not close below {cfg.tol} in {cfg.max_iters} updates",
+            limit=cfg.max_iters,
+        )
+    return DmcCapacityResult(
+        capacity=(est.value + est.upper) / 2.0,
+        input_dist=est.policy[0][0, 0],
+        iterations=est.diagnostics["iterations"],
+        bracket=est.upper - est.value,
     )
 
 

@@ -226,7 +226,3 @@ def _pretty(value, pad: str = "") -> str:
         body = ",\n".join(f"{inner}{_pretty(v, inner)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
     return json.dumps(value)
-
-
-def save_channel(obj, path, s0: int | None = None, optimizer: dict | None = None) -> None:
-    Path(path).write_text(dumps_channel(obj, s0=s0, optimizer=optimizer))

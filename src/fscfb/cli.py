@@ -496,7 +496,7 @@ SUBCOMMANDS = {
     "validate": ("check a channel file and report structure", _validate_args),
     "capacity": ("finite-horizon feedback-rate estimate", _capacity_args),
     "directed-info": ("directed information of an iid policy", _directed_info_args),
-    "dmc-capacity": ("alternating-maximization capacity of one state", _dmc_capacity_args),
+    "dmc-capacity": ("Blahut-Arimoto capacity of one state's channel", _dmc_capacity_args),
     "gallery": ("write a constructed channel to a file", _gallery_args),
     "discontinuity-demo": (
         "distance to the limit channel shrinks while its state gap persists",

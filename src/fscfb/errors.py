@@ -25,9 +25,5 @@ class ResourceLimitError(FscError, RuntimeError):
         self.limit = limit
 
 
-class ContractViolationError(FscError, RuntimeError):
-    """A caller-asserted precondition failed an internal consistency check."""
-
-
 class OracleError(FscError, RuntimeError):
     """A step-bounded oracle failed to answer a query."""

@@ -208,11 +208,3 @@ def extend_states(g: GalleryChannel, s_size: int) -> GalleryChannel:
     params = dict(g.params)
     params["s_size"] = s_size
     return _make(w, f, g.label, params)
-
-
-def state_noise(eps, s: int) -> Fraction:
-    """delta_s = eps + (1/2 - eps)^(s-1) for appended states s >= 2."""
-    eps = as_fraction(eps)
-    if s < 2:
-        raise DomainError(f"appended states start at 2, got {s}")
-    return eps + (_HALF - eps) ** (s - 1)

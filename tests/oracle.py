@@ -10,7 +10,9 @@ path model shares only its cell checks and the solver loop ``_ascend``:
   directed information as a conditional-MI sum cross-checked against the
   entropy-difference form, with the memoryless-bound check;
 - the n-fold law P^n(y^n, s_n | x^n, s_0) of a general channel and its
-  state marginal.
+  state marginal;
+- the plain alternating maximization of a memoryless channel's capacity,
+  with its own bracket, against which ``dmc_capacity`` is checked.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fscfb import (
-    ContractViolationError,
+    DmcCapacityResult,
     FiniteStateChannel,
     FscError,
     OptimizerSettings,
@@ -47,6 +49,10 @@ _LN2 = np.log(2.0)
 
 INPUTS = "inputs"    # p(x_n | x^{n-1}, y^{n-1}): sees strictly prior outputs
 OUTPUTS = "outputs"  # p(y_n | y^{n-1}, x^n): sees the current input
+
+
+class ContractViolationError(FscError, RuntimeError):
+    """A caller-asserted precondition failed an internal consistency check."""
 
 
 # --- flat path tables ------------------------------------------------------
@@ -591,3 +597,34 @@ def state_marginal(c: FiniteStateChannel, x_seq, s0: int, n: int) -> StateBelief
         return StateBeliefTable(values)
     table = n_fold_law(c, x_seq, s0, n)
     return StateBeliefTable(table.sum(axis=tuple(range(table.ndim - 1))))
+
+
+# --- memoryless capacity --------------------------------------------------
+
+
+def plain_dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> DmcCapacityResult:
+    """Memoryless-channel capacity by plain alternating maximization.
+
+    Iterates the multiplicative input update r <- r 2^D(W_x || Q) until the
+    bounds I(r) <= C <= max_x D(W_x || Q) differ by less than ``tol`` and
+    returns their midpoint together with r.
+    """
+    w = np.asarray(w, dtype=float)
+    logw = np.where(w > 0, np.log2(np.where(w > 0, w, 1.0)), 0.0)
+    r = np.full(w.shape[0], 1.0 / w.shape[0])
+    for it in range(1, max_iters + 1):
+        q = r @ w
+        logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
+        # d[x] = KL(w[x] || q) in bits; exact where w[x,y] > 0 implies q[y] > 0
+        d = (w * (logw - logq[None, :])).sum(axis=1)
+        lower = float(r @ d)
+        upper = float(d.max())
+        if upper - lower < tol:
+            return DmcCapacityResult(
+                capacity=(upper + lower) / 2.0, input_dist=r, iterations=it, bracket=upper - lower
+            )
+        r = r * np.exp2(d)
+        r = r / r.sum()
+    raise ResourceLimitError(
+        f"capacity bracket did not close below {tol} in {max_iters} iterations", limit=max_iters
+    )

@@ -1,3 +1,4 @@
+import functools
 import time
 import tracemalloc
 
@@ -920,6 +921,14 @@ def test_dmc_capacity_z_channel():
     res = dmc_capacity([[0.75, 0.25], [0.0, 1.0]])
     assert res.capacity == pytest.approx(C_Z_QUARTER, abs=1e-9)
     assert res.input_dist[0] == pytest.approx(P0_QUARTER, abs=1e-6)
+
+
+def test_dmc_capacity_raises_on_an_open_bracket(monkeypatch):
+    # the uniform start is not optimal on the Z-channel, so no update leaves it open
+    no_updates = functools.partial(OptimizerSettings, max_iters=0)
+    monkeypatch.setattr(capacity, "OptimizerSettings", no_updates)
+    with pytest.raises(ResourceLimitError, match="did not close"):
+        dmc_capacity([[0.75, 0.25], [0.0, 1.0]])
 
 
 def test_dmc_capacity_validation():

@@ -13,7 +13,6 @@ from fscfb import (
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
-    state_noise,
     strongly_connected,
     tv_distance,
 )
@@ -150,11 +149,13 @@ def test_extend_alphabets_preserves_rates(mix):
         assert b.value == pytest.approx(a.value, abs=1e-6)
 
 
-def test_state_noise_values():
-    assert state_noise("1/4", 2) == Fraction(1, 2)
-    assert state_noise("1/4", 3) == Fraction(5, 16)
+def test_extend_states_noise_values():
+    g = extend_states(mixing_pair("1/4", "1/4"), 8)
+    # appended state s flips input 0 with delta_s = eps + (1/2 - eps)^(s-1)
+    assert g.exact_w[2][0][1] == Fraction(1, 2)
+    assert g.exact_w[3][0][1] == Fraction(5, 16)
     for s in range(2, 8):
-        d = state_noise("1/4", s)
+        d = g.exact_w[s][0][1]
         assert Fraction(1, 4) < d <= HALF
 
 

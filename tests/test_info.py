@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fscfb import (
-    ContractViolationError,
     DomainError,
     ResourceLimitError,
     ShapeError,
@@ -11,6 +10,7 @@ from fscfb import (
 )
 from oracle import (
     CausalKernel,
+    ContractViolationError,
     JointLaw,
     StateBeliefTable,
     causal_product,
