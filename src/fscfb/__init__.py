@@ -38,7 +38,6 @@ from .errors import (
     ValidationError,
 )
 from .gallery import (
-    GalleryChannel,
     extend_alphabets,
     extend_states,
     inverse_k_pair,

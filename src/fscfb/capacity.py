@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import UnifilarChannel, compose_unifilar
+from .channels import UnifilarChannel
 from .errors import DomainError, FscError, ResourceLimitError, ShapeError, ValidationError
 
 POLICY_ROW_TOL = 1e-12
@@ -108,14 +108,14 @@ class _Lattice:
     whole (x^N, y^N) histories.
     """
 
-    prunes = True  # ``backward`` re-admits excluded inputs, so ``_ascend`` may drop them
-    accelerates = True  # ``rate`` keeps the Fisher weights the secant step fits in
-
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         _check_cell(u, s0, horizon)
         s, x, y = u.w.shape
         self.shape, self.s0, self.horizon, self.y_size = u.w.shape, s0, horizon, y
-        self.t = compose_unifilar(u).law.transpose(1, 0, 3, 2).reshape(x * s, s * y)
+        t = np.zeros((x, s, s, y))
+        sp, xi, yi = np.indices(u.w.shape)
+        t[xi, sp, u.f, yi] = u.w
+        self.t = t.reshape(x * s, s * y)
         self.tq = u.w.transpose(1, 0, 2).reshape(x * s, y)
         self.transfer = [step.T.copy() for step in [self.t] * (horizon - 1) + [self.tq]]
         self.root = np.eye(s)[s0]
@@ -288,8 +288,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     metric of the policy (Matz & Duhamel, ITW 2004), keeps columns no path
     reaches out of the fit. A rejection restarts the history from the plain
     update, where omega = 1 still takes the corrected trial; a change of
-    face clears it. Models without node masses (``accelerates`` false) take
-    the uncorrected trial, which at omega = 1 is theta_BA itself.
+    face clears it.
 
     Every ``_FACE_EVERY`` updates the run may move to another face of the
     policy simplex. An input whose update is below 1e-3 and still falling is
@@ -316,8 +315,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     drops re-admitted inputs as well, so an input can leave and come back
     more than once; what keeps that from cycling is only the re-admission
     rule, which brings an input back when its violation is what holds the
-    bracket open. Models without re-admission (``prunes`` false) keep every
-    input.
+    bracket open.
 
     The upper bound is the linearized rate's maximum over every
     deterministic policy, dropped inputs included, so it holds whatever the
@@ -338,14 +336,14 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     history = np.zeros((1 + 2 * _MEMORY,) + theta.shape)
     step, dgs, dxs = history[0], history[1:1 + _MEMORY], history[1 + _MEMORY:]
     flat = history.reshape(len(history), -1)
-    weight = model.joint.reshape(-1) if model.accelerates else None
+    weight = model.joint.reshape(-1)
     last_step = np.empty(theta.shape)
     # pairs recorded since the history was cleared; once pending, the last
     # move's dx sits in its ring slot and its g in last_step, waiting for dg
     pairs, pending = 0, False
     iters = pruned = readmitted = accelerated = rejected = 0
     while True:
-        epoch = model.prunes and (iters + 1) % _FACE_EVERY == 0
+        epoch = (iters + 1) % _FACE_EVERY == 0
         if epoch:
             bound = model.backward(update, (upper - value) * _LN2)
         else:
@@ -380,7 +378,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
                 pairs += 1
             np.copyto(last_step, step)
             pending, gamma = True, ()
-            if pairs and weight is not None:
+            if pairs:
                 fit = flat[:min(pairs, _MEMORY) + 1]
                 gamma = _secant(_gram(fit, weight))
             dx = dxs[pairs % _MEMORY]  # where this update's move goes
@@ -397,8 +395,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
                 trial_value, trial_exact = model.forward(trial)
                 if trial_value >= value:
                     accelerated += any(gamma)
-                    if model.prunes:
-                        pruned += _drop_underflows(trial, model.pi)
+                    pruned += _drop_underflows(trial, model.pi)
                     np.subtract(move, shift, out=dx)
                     theta, value, exact = trial, trial_value, trial_exact
                     omega = min(1.5 * omega, _OMEGA_MAX)
@@ -408,8 +405,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
                 np.copyto(dxs[0], step)
         theta, update = update, np.empty_like(update)
         value, exact = model.forward(theta)
-        if model.prunes:
-            pruned += _drop_underflows(theta, model.pi)
+        pruned += _drop_underflows(theta, model.pi)
     value, theta = max(best, (value, theta), key=lambda b: b[0])
     counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted,
               "accelerated": accelerated, "rejected": rejected}
@@ -476,7 +472,6 @@ class FiniteNBracket:
     per_state: tuple
     low: CapacityEstimate
     high: CapacityEstimate
-    bracket_only: bool = True
     note: str = "min over initial states of per-state maxima; not the joint max-min"
 
 

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import FiniteStateChannel, UnifilarChannel
+from .channels import FiniteStateChannel, UnifilarChannel, compose_unifilar
 from .errors import ValidationError
-from .gallery import GalleryChannel
 from .rational import as_fraction
 
 FORMAT_NAME = "fsc-channel"
@@ -31,6 +30,9 @@ OPTIMIZER_KEYS = ("restarts", "max_iters", "tol", "seed")
 
 @dataclass
 class LoadedChannel:
+    """A channel with its file header: a loaded file, or a gallery channel
+    with the exact tables and parameters behind it."""
+
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
     s0: int | None = None
@@ -40,8 +42,6 @@ class LoadedChannel:
     exact_w: tuple | None = None    # present when every probability was exact
 
     def as_general(self) -> FiniteStateChannel:
-        from .channels import compose_unifilar
-
         if self.kind == "general":
             return self.channel
         return compose_unifilar(self.channel)
@@ -85,13 +85,13 @@ def loads_channel(text: str) -> LoadedChannel:
         raise ValidationError(f"unsupported format version {data.get('version')!r}")
     sizes = {}
     for key in ("x_size", "y_size", "s_size"):
-        if not isinstance(data.get(key), int) or data[key] < 1:
+        if not _is_int(data.get(key)) or data[key] < 1:
             raise ValidationError(f"{key} must be a positive integer")
         sizes[key] = data[key]
 
     s0 = data.get("s0")
     if s0 is not None:
-        if not isinstance(s0, int) or not 0 <= s0 < sizes["s_size"]:
+        if not _is_int(s0) or not 0 <= s0 < sizes["s_size"]:
             raise ValidationError(f"s0 = {s0!r} outside 0..{sizes['s_size'] - 1}")
 
     optimizer = {}
@@ -133,8 +133,13 @@ def loads_channel(text: str) -> LoadedChannel:
     return LoadedChannel("unifilar", channel, s0, label, params, optimizer, exact_w)
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer: ``true`` is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _tupled(nested):
-    if isinstance(nested, list):
+    if isinstance(nested, (list, tuple)):
         return tuple(_tupled(v) for v in nested)
     return nested
 
@@ -158,49 +163,27 @@ def _params_out(params: dict):
     return out
 
 
-def dumps_channel(obj, s0: int | None = None, optimizer: dict | None = None) -> str:
+def dumps_channel(
+    loaded: LoadedChannel, s0: int | None = None, optimizer: dict | None = None
+) -> str:
     """Serialize a channel deterministically; fraction inputs echo as fractions."""
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
-    if isinstance(obj, GalleryChannel):
-        doc["label"] = obj.label
-        doc["params"] = _params_out(obj.params)
-        doc["kind"] = "unifilar"
-        doc["x_size"], doc["y_size"], doc["s_size"] = obj.x_size, obj.y_size, obj.s_size
-        if s0 is not None:
-            doc["s0"] = int(s0)
-        doc["w"] = _table_out(obj.exact_w)
-        doc["f"] = np.asarray(obj.channel.f).tolist()
-    elif isinstance(obj, LoadedChannel):
-        if obj.label is not None:
-            doc["label"] = obj.label
-        if obj.params:
-            doc["params"] = _params_out(obj.params)
-        doc["kind"] = obj.kind
-        ch = obj.channel
-        doc["x_size"], doc["y_size"], doc["s_size"] = ch.x_size, ch.y_size, ch.s_size
-        use_s0 = s0 if s0 is not None else obj.s0
-        if use_s0 is not None:
-            doc["s0"] = int(use_s0)
-        if obj.kind == "unifilar":
-            doc["w"] = _table_out(obj.exact_w if obj.exact_w else ch.w.tolist())
-            doc["f"] = np.asarray(ch.f).tolist()
-        else:
-            doc["law"] = _table_out(ch.law.tolist())
-    elif isinstance(obj, UnifilarChannel):
-        doc["kind"] = "unifilar"
-        doc["x_size"], doc["y_size"], doc["s_size"] = obj.x_size, obj.y_size, obj.s_size
-        if s0 is not None:
-            doc["s0"] = int(s0)
-        doc["w"] = _table_out(obj.w.tolist())
-        doc["f"] = np.asarray(obj.f).tolist()
-    elif isinstance(obj, FiniteStateChannel):
-        doc["kind"] = "general"
-        doc["x_size"], doc["y_size"], doc["s_size"] = obj.x_size, obj.y_size, obj.s_size
-        if s0 is not None:
-            doc["s0"] = int(s0)
-        doc["law"] = _table_out(obj.law.tolist())
+    if loaded.label is not None:
+        doc["label"] = loaded.label
+    if loaded.params:
+        doc["params"] = _params_out(loaded.params)
+    doc["kind"] = loaded.kind
+    ch = loaded.channel
+    doc["x_size"], doc["y_size"], doc["s_size"] = ch.x_size, ch.y_size, ch.s_size
+    if s0 is None:
+        s0 = loaded.s0
+    if s0 is not None:
+        doc["s0"] = int(s0)
+    if loaded.kind == "unifilar":
+        doc["w"] = _table_out(loaded.exact_w if loaded.exact_w else ch.w.tolist())
+        doc["f"] = np.asarray(ch.f).tolist()
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        doc["law"] = _table_out(ch.law.tolist())
     if optimizer:
         unknown = set(optimizer) - set(OPTIMIZER_KEYS)
         if unknown:

@@ -258,10 +258,10 @@ def cmd_directed_info(args):
 def cmd_dmc_capacity(args):
     loaded = channel_io.load_channel(args.channel)
     s0 = args.s0 if args.s0 is not None else (loaded.s0 or 0)
-    general = loaded.as_general()
-    if not 0 <= s0 < general.s_size:
-        raise DomainError(f"s0 = {s0} outside 0..{general.s_size - 1}")
-    w = general.law[s0].sum(axis=2)
+    ch = loaded.channel
+    if not 0 <= s0 < ch.s_size:
+        raise DomainError(f"s0 = {s0} outside 0..{ch.s_size - 1}")
+    w = ch.w[s0] if loaded.kind == "unifilar" else ch.law[s0].sum(axis=2)
     result = dmc_capacity(w)
     row = {"s0": s0, "capacity": result.capacity, "iterations": result.iterations,
            "bracket": result.bracket}
@@ -300,9 +300,9 @@ def cmd_gallery(args):
     rows = [
         {
             "label": g.label,
-            "x_size": g.x_size,
-            "y_size": g.y_size,
-            "s_size": g.s_size,
+            "x_size": g.channel.x_size,
+            "y_size": g.channel.y_size,
+            "s_size": g.channel.s_size,
             "path": args.out,
             "file_digest": _digest_bytes(text.encode()),
         }

@@ -17,11 +17,11 @@ and the mismatched pairs to 1, while state 1 absorbs everything except
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .channel_io import LoadedChannel, _tupled
 from .channels import UnifilarChannel
 from .errors import DomainError
 from .rational import as_fraction, float_table
@@ -32,41 +32,13 @@ _HALF = Fraction(1, 2)
 BASE_F = ((0, 1), (1, 0)), ((1, 1), (0, 1))
 
 
-@dataclass(frozen=True)
-class GalleryChannel:
-    """A constructed channel plus the exact tables and parameters behind it."""
-
-    channel: UnifilarChannel
-    label: str
-    params: dict
-    exact_w: tuple
-
-    @property
-    def x_size(self) -> int:
-        return self.channel.x_size
-
-    @property
-    def y_size(self) -> int:
-        return self.channel.y_size
-
-    @property
-    def s_size(self) -> int:
-        return self.channel.s_size
+def _make(exact_w, f, label, params) -> LoadedChannel:
+    exact_w = _tupled(exact_w)
+    channel = UnifilarChannel(np.array(float_table(exact_w)), np.array(f))
+    return LoadedChannel("unifilar", channel, label=label, params=dict(params), exact_w=exact_w)
 
 
-def _freeze(nested):
-    if isinstance(nested, (list, tuple)):
-        return tuple(_freeze(v) for v in nested)
-    return nested
-
-
-def _make(exact_w, f, label, params) -> GalleryChannel:
-    exact_w = _freeze(exact_w)
-    channel = UnifilarChannel(np.array(float_table(list(exact_w))), np.array(f))
-    return GalleryChannel(channel=channel, label=label, params=dict(params), exact_w=exact_w)
-
-
-def _switch_pair(eps: Fraction, mix: Fraction, label: str, params: dict) -> GalleryChannel:
+def _switch_pair(eps: Fraction, mix: Fraction, label: str, params: dict) -> LoadedChannel:
     one = Fraction(1)
     w = [
         [[one - mix, mix], [mix, one - mix]],
@@ -75,7 +47,7 @@ def _switch_pair(eps: Fraction, mix: Fraction, label: str, params: dict) -> Gall
     return _make(w, BASE_F, label, params)
 
 
-def noiseless_z_pair(eps) -> GalleryChannel:
+def noiseless_z_pair(eps) -> LoadedChannel:
     """Two states: an identity channel and a Z-channel with flip probability eps.
 
     With the shared next-state table each state is absorbing on its own
@@ -93,7 +65,7 @@ def noiseless_z_pair(eps) -> GalleryChannel:
     return _make(w, BASE_F, "noiseless-z", {"eps": eps})
 
 
-def mixing_pair(eps, mix) -> GalleryChannel:
+def mixing_pair(eps, mix) -> LoadedChannel:
     """The switch family with symmetric noise ``mix`` stirring the two states.
 
     mix = 0 degenerates to the noiseless/Z pair; any mix > 0 makes the
@@ -108,7 +80,7 @@ def mixing_pair(eps, mix) -> GalleryChannel:
     return _switch_pair(eps, mix, "mixing", {"eps": eps, "mix": mix})
 
 
-def inverse_k_pair(eps, k: int) -> GalleryChannel:
+def inverse_k_pair(eps, k: int) -> LoadedChannel:
     """The mixing channel at mix = 1/k; distance 2/k from the noiseless/Z pair."""
     eps = as_fraction(eps)
     if not 0 < eps < _HALF:
@@ -119,7 +91,7 @@ def inverse_k_pair(eps, k: int) -> GalleryChannel:
     return _switch_pair(eps, Fraction(1, k), "inverse-k", {"eps": eps, "k": k})
 
 
-def extend_alphabets(g: GalleryChannel, x_size: int, y_size: int) -> GalleryChannel:
+def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChannel:
     """Grow the input/output alphabets with inert symbols.
 
     New output symbols never occur (probability zero under every input) and
@@ -128,13 +100,13 @@ def extend_alphabets(g: GalleryChannel, x_size: int, y_size: int) -> GalleryChan
     added symbols, so rates and the support graph's verdicts are unchanged.
     """
     x_size, y_size = int(x_size), int(y_size)
-    if x_size < g.x_size or y_size < g.y_size:
+    s_size, old_x, old_y = g.channel.w.shape
+    if x_size < old_x or y_size < old_y:
         raise DomainError(
-            f"alphabets can only grow: have ({g.x_size}, {g.y_size}), "
+            f"alphabets can only grow: have ({old_x}, {old_y}), "
             f"asked for ({x_size}, {y_size})"
         )
     zero = Fraction(0)
-    old_x, old_y, s_size = g.x_size, g.y_size, g.s_size
     w = [
         [[zero] * y_size for _ in range(x_size)]
         for _ in range(s_size)
@@ -154,7 +126,7 @@ def extend_alphabets(g: GalleryChannel, x_size: int, y_size: int) -> GalleryChan
     return _make(w, f, g.label, params)
 
 
-def extend_states(g: GalleryChannel, s_size: int) -> GalleryChannel:
+def extend_states(g: LoadedChannel, s_size: int) -> LoadedChannel:
     """Append states 2..s_size-1 as increasingly noisy Z-channels.
 
     State s >= 2 flips input 0 with probability delta_s = eps + (1/2 - eps)^(s-1),
@@ -167,7 +139,7 @@ def extend_states(g: GalleryChannel, s_size: int) -> GalleryChannel:
     s_size = int(s_size)
     if s_size < 2:
         raise DomainError(f"state count must be >= 2, got {s_size}")
-    if g.s_size != 2:
+    if g.channel.s_size != 2:
         raise DomainError("state extension starts from the two-state family")
     eps = g.params.get("eps")
     if eps is None:
@@ -176,7 +148,7 @@ def extend_states(g: GalleryChannel, s_size: int) -> GalleryChannel:
     if s_size == 2:
         return g
 
-    x_size, y_size = g.x_size, g.y_size
+    _, x_size, y_size = g.channel.w.shape
     zero, one = Fraction(0), Fraction(1)
     w = [[list(row) for row in state] for state in g.exact_w]
     f = [[[int(v) for v in row] for row in state] for state in np.asarray(g.channel.f)]

@@ -1,11 +1,12 @@
 """The brute-force references the library is tested against.
 
 None of these computes a rate on the lattice in ``fscfb.capacity``; the
-path model shares only its cell checks and the solver loop ``_ascend``:
+path model shares only ``_check_cell`` and ``_logsumexp`` with it:
 
 - flat path tables over every (x^N, y^N) path, with the history-indexed
   ``CausalPolicy``, the exact rate ``evaluate_rate`` and ``_PathModel``, the
-  Blahut-Arimoto model over whole histories that ``_ascend`` also drives;
+  Blahut-Arimoto model over whole histories, which runs its own
+  over-relaxed loop in ``optimize_paths``;
 - the dense stack: joint laws, causal kernels, their causal product, and
   directed information as a conditional-MI sum cross-checked against the
   entropy-difference form, with the memoryless-bound check;
@@ -34,13 +35,13 @@ from fscfb import (
 from fscfb.capacity import (
     MAX_JOINT_ENTRIES,
     POLICY_ROW_TOL,
-    _ascend,
     _check_cell,
     _logsumexp,
 )
 from fscfb.channels import ROW_SUM_TOL, _frozen
 
 MAX_PATHS = 4096     # (|X||Y|)^N guard on _PathModel; 4096 = binary N=6
+OMEGA_MAX = 1.5**40  # over-relaxation cap: the trial stays finite once the rate is flat
 JOINT_SUM_TOL = 1e-10
 KERNEL_ROW_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-9
@@ -191,16 +192,7 @@ class _PathModel:
     step at a time through the step's channel factor: z into the
     Blahut-Arimoto policy update, L into the best deterministic policy's
     value of the rate linearized at the current policy.
-
-    ``_ascend`` runs it unaccelerated: it keeps no node masses to weigh the
-    secant step by, so it takes the plain over-relaxed trial, an ascent
-    independent of the lattice's accelerated one.
     """
-
-    # ``backward`` has no re-admission test, and a dropped input's -inf
-    # would turn the posterior fold into NaN: ``_ascend`` keeps every input
-    prunes = False
-    accelerates = False  # no node masses: ``_ascend`` takes no secant step
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         self.factors = []
@@ -268,12 +260,40 @@ def causal_policy(u: UnifilarChannel, s0: int, steps) -> CausalPolicy:
 
 
 def optimize_paths(u: UnifilarChannel, s0: int, horizon: int, cfg: OptimizerSettings):
-    """The solver over whole histories: ``_ascend`` on ``_PathModel`` from the
-    uniform policy. Returns (value, upper, iterations)."""
+    """Over-relaxed Blahut-Arimoto on ``_PathModel`` from the uniform policy,
+    an ascent independent of the library's: it keeps every input (a dropped
+    input's -inf would turn the posterior fold into NaN) and takes no secant
+    step. The trial theta + omega (theta_BA - theta), renormalized, is kept
+    unless it lowers the rate, and omega then grows 1.5-fold up to
+    ``OMEGA_MAX``; otherwise the run takes theta_BA, which never lowers it,
+    and omega restarts at 1, where the trial is theta_BA itself. The upper
+    bound starts at log2|Y|. Returns (value, upper, theta) once
+    upper - value < ``cfg.tol`` or after ``cfg.max_iters`` updates."""
     model = _PathModel(u, s0, horizon)
     theta = np.full(model.theta_shape, -np.log(u.x_size))
-    _, value, upper, counts = _ascend(model, theta, cfg)
-    return value, upper, counts["iterations"]
+    update = np.empty_like(theta)
+    value, exact = model.forward(theta)
+    upper, omega, iters = float(np.log2(u.y_size)), 1.0, 0
+    while True:
+        bound = model.backward(update)
+        if exact:
+            upper = min(upper, bound)
+        if upper - value < cfg.tol or iters >= cfg.max_iters:
+            return value, max(upper, value), theta
+        iters += 1
+        if omega > 1.0:
+            trial = theta + omega * (update - theta)
+            trial -= _logsumexp(trial)
+            trial_value, trial_exact = model.forward(trial)
+            if trial_value >= value:
+                theta, value, exact = trial, trial_value, trial_exact
+                omega = min(1.5 * omega, OMEGA_MAX)
+                continue
+            omega = 1.0
+        else:
+            omega = 1.5
+        theta, update = update, theta
+        value, exact = model.forward(theta)
 
 
 # --- the dense stack -------------------------------------------------------

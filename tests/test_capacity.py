@@ -38,6 +38,7 @@ from oracle import (
     evaluate_rate,
     n_fold_law,
     optimize_paths,
+    plain_dmc_capacity,
 )
 
 C_Z_QUARTER = 0.5582386267373455
@@ -274,8 +275,7 @@ def test_gradient_matches_finite_differences(rng, builder):
     h = 1e-5
     policies = [rand_policy(rng, 2, 2, 2) for _ in range(20)]
     # and the policy a capped solve returns
-    uniform = np.full(model.theta_shape, -np.log(2))
-    theta = _ascend(model, uniform, OptimizerSettings(max_iters=5))[0]
+    theta = optimize_paths(u, 0, 2, OptimizerSettings(max_iters=5))[2]
     policies.append(CausalPolicy(2, 2, 2, tuple(np.exp(theta[:, c]).T for c in model.steps)))
     for pol in policies:
         model.forward(log_table(pol))
@@ -347,6 +347,17 @@ def test_lattice_output_law_is_the_n_fold_law(rng):
         q = lattice.rate(pi)[1].reshape((3,) * n)  # axes y_N .. y_1
         law = n_fold_law(compose_unifilar(u), xs, s0, n).sum(axis=-1)
         assert np.allclose(q, law.transpose(range(n - 1, -1, -1)), rtol=0, atol=1e-15)
+
+
+def test_lattice_table_is_the_composed_law(rng):
+    # scattered from (W, f), the transition table holds each W entry once,
+    # beside zeros, just as the composed law does
+    for _ in range(20):
+        s, x, y = (int(v) for v in rng.integers(1, 4, size=3))
+        u = rand_unifilar(rng, s, x, y)
+        lattice = _Lattice(u, int(rng.integers(0, s)), int(rng.integers(1, 4)))
+        want = compose_unifilar(u).law.transpose(1, 0, 3, 2).reshape(x * s, s * y)
+        assert np.array_equal(lattice.t, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -492,6 +503,19 @@ def assert_brackets_agree(u, s0, n):
     assert value <= est.upper + 1e-12
     if est.diagnostics["converged"] and upper - value < AGREE.tol:
         assert est.value == pytest.approx(value, abs=1e-9)
+
+
+def test_path_oracle_loop_closes_on_memoryless_channels(rng):
+    """The oracle's own over-relaxed loop, at N = 1 on one state, brackets
+    the capacity that plain alternating maximization finds, and closes."""
+    channels = [[[0.75, 0.25], [0.25, 0.75]], [[1.0, 0.0], [0.25, 0.75]], np.eye(3)]
+    shapes = [(2, 3), (3, 2), (3, 3), (4, 2)]
+    channels += [stochastic(rng, shape, zeros=False) for shape in shapes]
+    for w in channels:
+        value, upper, _ = optimize_paths(single_state(w), 0, 1, FAST)
+        ref = plain_dmc_capacity(w)
+        assert upper - value < FAST.tol
+        assert value - ref.bracket <= ref.capacity <= upper + ref.bracket
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -737,16 +761,6 @@ def test_ascent_keeps_every_trial_finite_once_the_rate_is_flat():
     assert 0.0 <= upper - value < 1e-15
 
 
-def test_path_oracle_runs_the_plain_over_relaxed_step():
-    # it has no node masses to weigh the secant step by
-    model = _PathModel(trapdoor(), 0, 4)
-    _, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)), AGREE)
-    assert counts["accelerated"] == 0
-    est = optimize_rate(trapdoor(), 0, 4, AGREE)
-    assert est.diagnostics["accelerated"] > 0
-    assert value <= est.upper + 1e-12 and est.value <= upper + 1e-12
-
-
 @pytest.mark.parametrize("dropped", [0, 1])
 def test_face_restriction_readmits_an_input_the_optimum_needs(dropped):
     """Started with one input of the Z channel dropped, the run brings it
@@ -884,7 +898,6 @@ def test_finite_n_bracket_frozen_family():
     assert values[0] == pytest.approx(1.0, abs=1e-6)
     assert values[1] == pytest.approx(C_Z_QUARTER, abs=1e-6)
     assert br.low.value <= br.high.value
-    assert br.bracket_only
     assert br.low.state_mode == "min" and br.high.state_mode == "max"
     # the min and max over states of the optima lie in these brackets
     uppers = [est.upper for est in br.per_state]

@@ -6,6 +6,7 @@ import pytest
 
 from fscfb import (
     FiniteStateChannel,
+    LoadedChannel,
     UnifilarChannel,
     ValidationError,
     compose_unifilar,
@@ -39,7 +40,7 @@ def test_serialization_is_deterministic():
 def test_decimal_channels_round_to_12_significant_digits(tmp_path):
     w = np.array([[[0.123456789012345, 0.876543210987655]], [[0.5, 0.5]]])
     u = UnifilarChannel(w, np.zeros((2, 1, 2), dtype=int))
-    text = dumps_channel(u)
+    text = dumps_channel(LoadedChannel("unifilar", u))
     data = json.loads(text)
     assert data["w"][0][0][0] == float(f"{w[0, 0, 0]:.12g}")
     loaded = loads_channel(text)
@@ -53,7 +54,7 @@ def test_general_law_round_trip(tmp_path):
     law[:, :, 1, 1] = 0.5
     c = FiniteStateChannel(law)
     path = tmp_path / "gen.json"
-    path.write_text(dumps_channel(c, s0=1))
+    path.write_text(dumps_channel(LoadedChannel("general", c), s0=1))
     loaded = load_channel(path)
     assert loaded.kind == "general"
     assert loaded.s0 == 1
@@ -130,6 +131,27 @@ def test_load_rejects_malformed_documents(patch, message):
     doc.update(patch)
     doc = {k: v for k, v in doc.items() if v is not None}
     with pytest.raises(ValidationError, match=message):
+        loads_channel(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["x_size", "y_size", "s_size", "s0"])
+def test_load_refuses_booleans_in_the_header(key):
+    """JSON ``true`` is not the integer 1: the document loads with 1 in
+    the key's place and is refused with ``true`` there."""
+    s_size = 2 if key == "s0" else 1
+    doc = {
+        "format": "fsc-channel",
+        "version": 1,
+        "x_size": 1,
+        "y_size": 1,
+        "s_size": s_size,
+        "w": [[[1]]] * s_size,
+        "f": [[[s]] for s in range(s_size)],
+    }
+    doc[key] = 1
+    assert loads_channel(json.dumps(doc)).channel.w.shape == (s_size, 1, 1)
+    doc[key] = True
+    with pytest.raises(ValidationError, match=key):
         loads_channel(json.dumps(doc))
 
 

@@ -114,7 +114,7 @@ def test_extend_alphabets_identity():
 
 def test_extend_alphabets_structure():
     g = extend_alphabets(mixing_pair("1/4", "1/4"), 4, 3)
-    assert (g.x_size, g.y_size, g.s_size) == (4, 3, 2)
+    assert (g.channel.x_size, g.channel.y_size, g.channel.s_size) == (4, 3, 2)
     w = g.channel.w
     f = np.asarray(g.channel.f)
     # new outputs carry no mass
@@ -161,7 +161,7 @@ def test_extend_states_noise_values():
 
 def test_extend_states_three_state_structure():
     g = extend_states(mixing_pair("1/4", "1/4"), 3)
-    assert g.s_size == 3
+    assert g.channel.s_size == 3
     f = np.asarray(g.channel.f)
     w = g.channel.w
     # state 0 now opens the chain on (0, 1)
@@ -206,7 +206,7 @@ def test_extension_order_alphabets_after_states():
     g = extend_states(mixing_pair("1/4", "1/8"), 3)
     # states first, then alphabets is not supported; alphabets first is
     g2 = extend_states(extend_alphabets(mixing_pair("1/4", "1/8"), 3, 3), 4)
-    assert (g2.x_size, g2.y_size, g2.s_size) == (3, 3, 4)
+    assert (g2.channel.x_size, g2.channel.y_size, g2.channel.s_size) == (3, 3, 4)
     law = compose_unifilar(g2.channel)
     assert strongly_connected(law).connected
-    assert g.s_size == 3
+    assert g.channel.s_size == 3
