@@ -3,8 +3,9 @@
 JSON with fields ``x_size``, ``y_size``, ``s_size``, then either ``w`` +
 ``f`` (unifilar, both nested [s'][x][y]) or ``law`` (general,
 [s'][x][y][s]). Probabilities may be JSON numbers or exact fraction
-strings like "1/4"; an optional ``s0``, a free-form ``label``/``params``
-pair, and an ``optimizer`` settings block are carried through.
+strings like "1/4"; a unifilar ``w`` is kept and echoed entry by entry as
+given. An optional ``s0``, a free-form ``label``/``params`` pair, and an
+``optimizer`` settings block are carried through.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .rational import as_fraction
 FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
 
-# "restarts" is still read, for files written for the old multi-start
-# optimizer, and ignored with a warning
-OPTIMIZER_KEYS = ("restarts", "max_iters", "tol", "seed")
+# read, for files written for the old multi-start optimizer, and ignored
+# with a warning: the solver is deterministic and runs once
+IGNORED_KEYS = ("restarts", "seed")
+OPTIMIZER_KEYS = ("max_iters", "tol") + IGNORED_KEYS
 
 
 @dataclass
@@ -39,7 +41,11 @@ class LoadedChannel:
     label: str | None = None
     params: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
-    exact_w: tuple | None = None    # present when every probability was exact
+    exact_w: tuple | None = None    # a unifilar w as given: Fractions, and floats for decimals
+
+    def __post_init__(self):
+        if self.kind == "unifilar" and self.exact_w is None:
+            self.exact_w = _tupled(self.channel.w.tolist())
 
     def as_general(self) -> FiniteStateChannel:
         if self.kind == "general":
@@ -48,23 +54,15 @@ class LoadedChannel:
 
 
 def _parse_prob_table(node, path: str):
-    """Return (floats, exacts, all_exact) for a nested probability table."""
+    """A nested probability table as given, in tuples: a Fraction for a
+    "p/q" string or an integer, the float itself for a decimal."""
     if isinstance(node, list):
-        floats, exacts, all_exact = [], [], True
-        for i, sub in enumerate(node):
-            f, e, ok = _parse_prob_table(sub, f"{path}[{i}]")
-            floats.append(f)
-            exacts.append(e)
-            all_exact = all_exact and ok
-        return floats, exacts, all_exact
+        return tuple(_parse_prob_table(sub, f"{path}[{i}]") for i, sub in enumerate(node))
     if isinstance(node, str):
-        frac = as_fraction(node)
-        return float(frac), frac, True
+        return as_fraction(node)
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"probability at {path} must be a number or 'p/q' string")
-    if isinstance(node, int):
-        return float(node), Fraction(node), True
-    return float(node), Fraction(node), False
+    return Fraction(node) if isinstance(node, int) else node
 
 
 def load_channel(path) -> LoadedChannel:
@@ -108,8 +106,7 @@ def loads_channel(text: str) -> LoadedChannel:
     params = data.get("params", {}) or {}
 
     if "law" in data:
-        floats, _, _ = _parse_prob_table(data["law"], "law")
-        law = np.array(floats, dtype=float)
+        law = np.array(_parse_prob_table(data["law"], "law"), dtype=float)
         want = (sizes["s_size"], sizes["x_size"], sizes["y_size"], sizes["s_size"])
         if law.shape != want:
             raise ValidationError(f"law has shape {law.shape}, expected {want}")
@@ -118,8 +115,8 @@ def loads_channel(text: str) -> LoadedChannel:
 
     if "w" not in data or "f" not in data:
         raise ValidationError("channel file needs either 'law' or both 'w' and 'f'")
-    floats, exacts, all_exact = _parse_prob_table(data["w"], "w")
-    w = np.array(floats, dtype=float)
+    exact_w = _parse_prob_table(data["w"], "w")
+    w = np.array(exact_w, dtype=float)
     want = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
     if w.shape != want:
         raise ValidationError(f"w has shape {w.shape}, expected {want}")
@@ -129,7 +126,6 @@ def loads_channel(text: str) -> LoadedChannel:
     if f.shape != want:
         raise ValidationError(f"f has shape {f.shape}, expected {want}")
     channel = UnifilarChannel(w, f)
-    exact_w = _tupled(exacts) if all_exact else None
     return LoadedChannel("unifilar", channel, s0, label, params, optimizer, exact_w)
 
 
@@ -166,7 +162,8 @@ def _params_out(params: dict):
 def dumps_channel(
     loaded: LoadedChannel, s0: int | None = None, optimizer: dict | None = None
 ) -> str:
-    """Serialize a channel deterministically; fraction inputs echo as fractions."""
+    """Serialize a channel deterministically. A unifilar ``w`` echoes its
+    table as given: fractions as "p/q", decimals to 12 significant digits."""
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     if loaded.label is not None:
         doc["label"] = loaded.label
@@ -180,7 +177,7 @@ def dumps_channel(
     if s0 is not None:
         doc["s0"] = int(s0)
     if loaded.kind == "unifilar":
-        doc["w"] = _table_out(loaded.exact_w if loaded.exact_w else ch.w.tolist())
+        doc["w"] = _table_out(loaded.exact_w)
         doc["f"] = np.asarray(ch.f).tolist()
     else:
         doc["law"] = _table_out(ch.law.tolist())

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Every subcommand builds a run report with the echoed command, an input
-digest, the effective seed, a row table, and diagnostics, then renders it
-as an aligned table, CSV, or JSON. Reports are byte-stable for identical
-inputs and seeds; wall-clock timing goes to stderr only.
+digest, a row table, and diagnostics, then renders it as an aligned table,
+CSV, or JSON. Reports are byte-stable for identical inputs; wall-clock
+timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .reduction import (
     lambda_sequence,
 )
 
-DEFAULT_SEED = 0
 GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "extend-states")
 
 
@@ -109,7 +108,6 @@ def render_report(report: dict, fmt: str) -> str:
     lines = [
         f"command: {' '.join(report['command'])}",
         f"input_digest: {report['input_digest']}",
-        f"seed: {report['seed']}",
     ]
     if rows:
         lines.append("")
@@ -127,26 +125,26 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_settings(args, file_block: dict | None = None):
-    """Optimizer settings and report seed: flags over the channel file's
-    optimizer block over the defaults. ``restarts`` from either source is
-    ignored with a warning: the solver is deterministic and runs once."""
+def _resolve_settings(args, file_block: dict | None = None) -> OptimizerSettings:
+    """Optimizer settings: flags over the channel file's optimizer block over
+    the defaults. ``restarts`` and ``seed`` from either source are ignored
+    with a warning: the solver is deterministic and runs once."""
     base = OptimizerSettings()
-    merged = {"max_iters": base.max_iters, "tol": base.tol, "seed": DEFAULT_SEED}
+    merged = {"max_iters": base.max_iters, "tol": base.tol}
     block = dict(file_block or {})
-    if "restarts" in block:
-        del block["restarts"]
-        print("warning: the channel file's optimizer.restarts is ignored", file=sys.stderr)
-    if getattr(args, "restarts", None) is not None:
-        print("warning: --restarts is ignored", file=sys.stderr)
+    for key in channel_io.IGNORED_KEYS:
+        if key in block:
+            del block[key]
+            print(f"warning: the channel file's optimizer.{key} is ignored", file=sys.stderr)
+        if getattr(args, key) is not None:
+            print(f"warning: --{key} is ignored", file=sys.stderr)
     merged.update(block)
     for key in merged:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    cfg = OptimizerSettings(max_iters=_setting(merged, "max_iters", int),
-                            tol=_setting(merged, "tol", float))
-    return cfg, _setting(merged, "seed", int)
+    return OptimizerSettings(max_iters=_setting(merged, "max_iters", int),
+                             tol=_setting(merged, "tol", float))
 
 
 def _setting(merged, key, kind):
@@ -210,12 +208,12 @@ def _estimate_row(n, s0_label, est):
 
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
-    cfg, seed = _resolve_settings(args, loaded.optimizer)
+    cfg = _resolve_settings(args, loaded.optimizer)
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     all_states = args.all_states or (args.s0 is None and loaded.s0 is None)
     rows = []
-    diags = {"note": ""}
+    diags = {}
     for n in horizons:
         if all_states:
             bracket = finite_n_bracket(u, n, cfg)
@@ -229,7 +227,7 @@ def cmd_capacity(args):
             est = optimize_rate(u, s0, n, cfg)
             rows.append(_estimate_row(n, str(s0), est))
     diags["optimizer"] = f"max_iters={cfg.max_iters} tol={cfg.tol:g}"
-    return rows, diags, _digest_file(args.channel), seed
+    return rows, diags, _digest_file(args.channel)
 
 
 def cmd_directed_info(args):
@@ -313,7 +311,7 @@ def cmd_gallery(args):
 def cmd_discontinuity_demo(args):
     eps = as_fraction(args.eps)
     ks = [int(tok) for tok in args.k_list.split(",") if tok]
-    cfg, seed = _resolve_settings(args)
+    cfg = _resolve_settings(args)
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
@@ -338,7 +336,7 @@ def cmd_discontinuity_demo(args):
         "note": "limit row uses closed forms; finite k rows use the horizon-n estimator",
         "n": args.n,
     }
-    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}"), seed
+    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}")
 
 
 def _parse_mock(spec: str):
@@ -402,11 +400,11 @@ def cmd_connectivity(args):
 def _add_output_flags(sp):
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sp.add_argument("--out", default=None, help="also write the rendered report to this path")
-    sp.add_argument("--seed", type=int, default=None)
 
 
 def _add_optimizer_flags(sp):
-    sp.add_argument("--restarts", type=int, default=None, help="ignored; kept for old scripts")
+    for key in channel_io.IGNORED_KEYS:
+        sp.add_argument(f"--{key}", type=int, default=None, help="ignored; kept for old scripts")
     sp.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     sp.add_argument("--tol", type=float, default=None)
 
@@ -455,7 +453,6 @@ def _gallery_args(sp):
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--out", required=True, help="channel file to write")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(handler=cmd_gallery, writes_report=False)
 
 
@@ -536,19 +533,13 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        # handlers that resolve optimizer settings also return the seed they used
-        rows, diagnostics, digest, *resolved = args.handler(args)
+        rows, diagnostics, digest = args.handler(args)
     except (FscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if resolved:
-        seed = resolved[0]
-    else:
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = {
         "command": ["fscfb"] + argv,
         "input_digest": digest,
-        "seed": seed,
         "rows": rows,
         "diagnostics": diagnostics,
     }

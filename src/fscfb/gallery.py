@@ -1,8 +1,8 @@
 """Channel gallery: the two-state noiseless/Z switch family and its extensions.
 
-All constructors build their tables in exact rational arithmetic first and
-keep those alongside the float channel, so files can echo the defining
-fractions verbatim.
+All constructors build their tables in exact rational arithmetic and derive
+the float channel from them, so files can echo the defining fractions
+verbatim.
 
 The shared next-state table routes (0,0) and (1,1) from state 0 back to 0
 and the mismatched pairs to 1, while state 1 absorbs everything except
@@ -24,7 +24,7 @@ import numpy as np
 from .channel_io import LoadedChannel, _tupled
 from .channels import UnifilarChannel
 from .errors import DomainError
-from .rational import as_fraction, float_table
+from .rational import as_fraction
 
 _HALF = Fraction(1, 2)
 
@@ -34,17 +34,22 @@ BASE_F = ((0, 1), (1, 0)), ((1, 1), (0, 1))
 
 def _make(exact_w, f, label, params) -> LoadedChannel:
     exact_w = _tupled(exact_w)
-    channel = UnifilarChannel(np.array(float_table(exact_w)), np.array(f))
+    channel = UnifilarChannel(np.array(exact_w, dtype=float), np.array(f))
     return LoadedChannel("unifilar", channel, label=label, params=dict(params), exact_w=exact_w)
 
 
-def _switch_pair(eps: Fraction, mix: Fraction, label: str, params: dict) -> LoadedChannel:
+def _switch_pair(eps, mix: Fraction, label: str, /, **params) -> LoadedChannel:
+    """The switch pair at (eps, mix). eps is checked here, and leads the
+    recorded params, so a file lists it first."""
+    eps = as_fraction(eps)
+    if not 0 < eps < _HALF:
+        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     one = Fraction(1)
     w = [
         [[one - mix, mix], [mix, one - mix]],
         [[one - eps, eps], [mix, one - mix]],
     ]
-    return _make(w, BASE_F, label, params)
+    return _make(w, BASE_F, label, {"eps": eps, **params})
 
 
 def noiseless_z_pair(eps) -> LoadedChannel:
@@ -53,16 +58,7 @@ def noiseless_z_pair(eps) -> LoadedChannel:
     With the shared next-state table each state is absorbing on its own
     support, so the initial state is never forgotten.
     """
-    eps = as_fraction(eps)
-    if not 0 < eps < _HALF:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    one = Fraction(1)
-    zero = Fraction(0)
-    w = [
-        [[one, zero], [zero, one]],
-        [[one - eps, eps], [zero, one]],
-    ]
-    return _make(w, BASE_F, "noiseless-z", {"eps": eps})
+    return _switch_pair(eps, Fraction(0), "noiseless-z")
 
 
 def mixing_pair(eps, mix) -> LoadedChannel:
@@ -71,24 +67,18 @@ def mixing_pair(eps, mix) -> LoadedChannel:
     mix = 0 degenerates to the noiseless/Z pair; any mix > 0 makes the
     channel strongly connected.
     """
-    eps = as_fraction(eps)
     mix = as_fraction(mix)
-    if not 0 < eps < _HALF:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     if not 0 <= mix <= _HALF:
         raise DomainError(f"mix must lie in [0, 1/2], got {mix}")
-    return _switch_pair(eps, mix, "mixing", {"eps": eps, "mix": mix})
+    return _switch_pair(eps, mix, "mixing", mix=mix)
 
 
 def inverse_k_pair(eps, k: int) -> LoadedChannel:
     """The mixing channel at mix = 1/k; distance 2/k from the noiseless/Z pair."""
-    eps = as_fraction(eps)
-    if not 0 < eps < _HALF:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     k = int(k)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return _switch_pair(eps, Fraction(1, k), "inverse-k", {"eps": eps, "k": k})
+    return _switch_pair(eps, Fraction(1, k), "inverse-k", k=k)
 
 
 def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChannel:

@@ -28,9 +28,3 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     raise DomainError(f"cannot interpret {type(value).__name__} as a rational number")
 
-
-def float_table(exact) -> list:
-    """Recursively convert nested Fractions to floats."""
-    if isinstance(exact, (tuple, list)):
-        return [float_table(v) for v in exact]
-    return float(exact)

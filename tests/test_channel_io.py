@@ -40,11 +40,13 @@ def test_serialization_is_deterministic():
 def test_decimal_channels_round_to_12_significant_digits(tmp_path):
     w = np.array([[[0.123456789012345, 0.876543210987655]], [[0.5, 0.5]]])
     u = UnifilarChannel(w, np.zeros((2, 1, 2), dtype=int))
-    text = dumps_channel(LoadedChannel("unifilar", u))
+    record = LoadedChannel("unifilar", u)
+    assert record.exact_w == tuple(tuple(map(tuple, state)) for state in w.tolist())
+    text = dumps_channel(record)
     data = json.loads(text)
     assert data["w"][0][0][0] == float(f"{w[0, 0, 0]:.12g}")
     loaded = loads_channel(text)
-    assert loaded.exact_w is None
+    assert loaded.exact_w[0][0][0] == float(f"{w[0, 0, 0]:.12g}")  # the table as written
     assert np.allclose(loaded.channel.w, w, atol=1e-12)
 
 
@@ -82,7 +84,26 @@ def test_mixed_fraction_and_decimal_entries():
     }
     loaded = loads_channel(json.dumps(doc))
     assert loaded.channel.w[0, 0, 0] == pytest.approx(1 / 3, abs=1e-15)
-    assert loaded.exact_w is None  # one entry was inexact
+    # the table as given: fractions and integers exact, the decimal a float
+    assert loaded.exact_w == (((Fraction(1, 3), 0.6666666666666666), (Fraction(1), Fraction(0))),)
+    assert isinstance(loaded.exact_w[0][0][1], float)
+
+
+def test_mixed_table_round_trips_its_fractions_verbatim():
+    doc = {
+        "format": "fsc-channel",
+        "version": 1,
+        "x_size": 2,
+        "y_size": 2,
+        "s_size": 1,
+        "w": [[["1/3", 0.6666666666666666], [0.25, "3/4"]]],
+        "f": [[[0, 0], [0, 0]]],
+    }
+    text = dumps_channel(loads_channel(json.dumps(doc)))
+    assert json.loads(text)["w"] == [[["1/3", 0.666666666667], [0.25, "3/4"]]]
+    assert '"1/3"' in text
+    # a second round trip is a fixed point
+    assert dumps_channel(loads_channel(text)) == text
 
 
 def test_optimizer_block():

@@ -481,19 +481,20 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     )
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
     doc = json.loads(out)
-    assert doc["seed"] == 9  # file block resolved
     row = doc["rows"][0]
-    assert "restarts" not in row  # the old key is read, ignored and named on stderr
-    assert err.count("restarts is ignored") == 1
+    # both old keys are read, ignored and named on stderr
+    assert "seed" not in doc and "restarts" not in row
+    assert err.count("restarts is ignored") == 1 and err.count("seed is ignored") == 1
     assert row["converged"] and 0.0 <= row["gap"] < 1e-10
     assert row["s0"] == "0"  # file s0 picked up
-    # CLI flags still win over the file block
-    code, out, err = run_cli(
+    # the flags are accepted and ignored the same way
+    code, out2, err = run_cli(
         capsys, "capacity", str(path), "--n", "1", "--seed", "4", "--restarts", "3",
         "--format", "json",
     )
-    assert json.loads(out)["seed"] == 4
-    assert err.count("restarts is ignored") == 2  # once for the file, once for the flag
+    assert code == 0 and json.loads(out2)["rows"] == doc["rows"]
+    # once for the file, once for the flag
+    assert err.count("restarts is ignored") == 2 and err.count("seed is ignored") == 2
 
 
 def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
@@ -502,9 +503,9 @@ def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
     path = tmp_path / "whole.json"
     path.write_text(dumps_channel(mixing_pair("1/4", "1/8"), s0=0,
                                   optimizer={"max_iters": 2.0, "seed": 7.0}))
-    code, out, _ = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
+    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
     doc = json.loads(out)
-    assert code == 0 and doc["seed"] == 7
+    assert code == 0 and "seed" not in doc and "seed is ignored" in err
     assert doc["rows"][0]["iterations"] == 2
 
 
@@ -519,8 +520,8 @@ def test_solver_flags_that_can_never_converge_fail_cleanly(frozen_channel, capsy
 
 
 @pytest.mark.parametrize("block", [{"tol": -1}, {"tol": 0}, {"max_iters": -5}, {"tol": None},
-                                   {"seed": [1]}, {"max_iters": 2.5}, {"max_iters": True},
-                                   {"seed": 2.5}, {"seed": True}, {"tol": True},
+                                   {"tol": [1]}, {"max_iters": 2.5}, {"max_iters": True},
+                                   {"max_iters": None}, {"tol": "1e-9"}, {"tol": True},
                                    {"max_iters": "5"}])
 def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
     from fscfb import dumps_channel, noiseless_z_pair
@@ -531,13 +532,46 @@ def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
     assert one_error_line(code, out, err)
 
 
-def test_json_format_parses_and_echoes_seed(frozen_channel, capsys):
-    code, out, _ = run_cli(
+@pytest.mark.parametrize("seed", [[1], 2.5, True, None])
+def test_seed_in_the_optimizer_block_is_ignored(tmp_path, capsys, seed):
+    from fscfb import dumps_channel, noiseless_z_pair
+
+    path = tmp_path / "seeded.json"
+    path.write_text(dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer={"seed": seed}))
+    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
+    assert code == 0 and "seed" not in json.loads(out)
+    assert err.count("optimizer.seed is ignored") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{ch}"), ("directed-info", "{ch}", "--n", "1"), ("dmc-capacity", "{ch}"),
+    ("indecomp", "{ch}"), ("connectivity", "{ch}"), ("lambda-seq", "--mock", "never", "--input", "1"),
+    ("gallery", "noiseless-z", "--eps", "1/4", "--out", "{ch}"),
+], ids=lambda argv: argv[0])
+def test_commands_without_an_optimizer_refuse_seed(frozen_channel, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(ch=frozen_channel) for a in argv] + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_single_state_capacity_prints_no_note(frozen_channel, capsys):
+    cell = ("capacity", str(frozen_channel), "--n", "1")
+    _, out, _ = run_cli(capsys, *cell, "--s0", "0", "--format", "json")
+    assert "note" not in json.loads(out)["diagnostics"]
+    _, out, _ = run_cli(capsys, *cell, "--s0", "0")
+    assert "diag.note" not in out
+    _, out, _ = run_cli(capsys, *cell, "--all-states", "--format", "json")
+    assert json.loads(out)["diagnostics"]["note"]
+
+
+def test_json_format_parses_and_ignores_seed(frozen_channel, capsys):
+    code, out, err = run_cli(
         capsys, "capacity", str(frozen_channel), "--n", "1", "--s0", "0",
         "--seed", "3", "--format", "json",
     )
     doc = json.loads(out)
-    assert doc["seed"] == 3
+    assert "seed" not in doc and "--seed is ignored" in err
     assert doc["command"][0] == "fscfb"
     assert doc["rows"][0]["rate"] == pytest.approx(1.0, abs=1e-6)
     assert doc["input_digest"].startswith("sha256:")
@@ -555,4 +589,4 @@ def test_table_format_contains_meta(frozen_channel, capsys):
     code, out, _ = run_cli(capsys, "validate", str(frozen_channel))
     assert out.startswith("command: fscfb validate")
     assert "input_digest: sha256:" in out
-    assert "seed: 0" in out
+    assert "seed:" not in out

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,11 +7,14 @@ import pytest
 
 from fscfb import (
     DomainError,
+    LoadedChannel,
     OptimizerSettings,
     compose_unifilar,
+    dumps_channel,
     extend_alphabets,
     extend_states,
     inverse_k_pair,
+    loads_channel,
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
@@ -210,3 +215,63 @@ def test_extension_order_alphabets_after_states():
     law = compose_unifilar(g2.channel)
     assert strongly_connected(law).connected
     assert g.channel.s_size == 3
+
+
+def _with_one_decimal(g):
+    """``g`` written to a file, with w[1][0][0] (3/4 here) given as a decimal."""
+    doc = json.loads(dumps_channel(g))
+    doc["w"][1][0][0] = 0.75
+    return loads_channel(json.dumps(doc))
+
+
+EXTENSIONS = {
+    "alphabets": lambda g: extend_alphabets(g, 3, 3),
+    "states": lambda g: extend_states(g, 4),
+}
+
+
+@pytest.mark.parametrize("extend", EXTENSIONS.values(), ids=EXTENSIONS)
+def test_extensions_take_a_loaded_file_with_a_decimal_entry(extend):
+    base = mixing_pair("1/4", "1/8")
+    loaded = _with_one_decimal(base)
+    ext = extend(loaded)
+    want = extend(base)
+    assert np.array_equal(ext.channel.w, want.channel.w)
+    assert np.array_equal(ext.channel.f, want.channel.f)
+    # the decimal stays a decimal and every fraction stays exact
+    assert ext.exact_w[1][0][0] == 0.75 and isinstance(ext.exact_w[1][0][0], float)
+    assert ext.exact_w[1][0][1] == Fraction(1, 4)
+    assert json.loads(dumps_channel(ext))["w"][1][0][:2] == [0.75, "1/4"]
+
+
+@pytest.mark.parametrize("extend", EXTENSIONS.values(), ids=EXTENSIONS)
+def test_extensions_take_a_hand_wrapped_channel(extend):
+    base = mixing_pair("1/4", "1/8")
+    wrapped = LoadedChannel("unifilar", base.channel, params={"eps": Fraction(1, 4)})
+    assert wrapped.exact_w == tuple(tuple(map(tuple, s)) for s in base.channel.w.tolist())
+    ext = extend(wrapped)
+    want = extend(base)
+    assert np.array_equal(ext.channel.w, want.channel.w)
+    assert np.array_equal(ext.channel.f, want.channel.f)
+
+
+# SHA-256 of each construction's channel file, fixed when the gallery's
+# tables and the file layout were last changed on purpose
+GALLERY_DIGESTS = {
+    "noiseless-z": (lambda: noiseless_z_pair("1/4"),
+                    "2864c12aaa260a6afb769d9cb40b4e84e2bff8d1fbcaa3eb486be88e012ef03c"),
+    "mixing": (lambda: mixing_pair("1/4", "1/8"),
+               "cb5ff4a5777ee3e1cbebdcd72a1107d162008e23673d6ad99a4eaeee9369a9d2"),
+    "inverse-k": (lambda: inverse_k_pair("1/4", 16),
+                  "2617498104362d3a991bb4b2f8ffdbeb554628f535b58281d0abc2017fcec5e8"),
+    "extend-alphabets": (lambda: extend_alphabets(mixing_pair("1/5", "1/16"), 3, 4),
+                         "c4f6d2e29049480b1ba08395fa9d0ab6d8cb98bec138673ae403277e65b0f238"),
+    "extend-states": (lambda: extend_states(mixing_pair("1/3", "1/8"), 5),
+                      "c15f8ebd7b458ecf8fa92d1a38402974516f1484e674372d29db812e7d79d01a"),
+}
+
+
+@pytest.mark.parametrize("name", GALLERY_DIGESTS)
+def test_gallery_files_are_pinned_byte_for_byte(name):
+    build, digest = GALLERY_DIGESTS[name]
+    assert hashlib.sha256(dumps_channel(build()).encode()).hexdigest() == digest
