@@ -44,8 +44,9 @@ class LoadedChannel:
     exact_w: tuple | None = None    # a unifilar w as given: Fractions, and floats for decimals
 
     def __post_init__(self):
-        if self.kind == "unifilar" and self.exact_w is None:
-            self.exact_w = _tupled(self.channel.w.tolist())
+        if self.kind == "unifilar":
+            given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
+            self.exact_w = _tupled(given)
 
     def as_general(self) -> FiniteStateChannel:
         if self.kind == "general":

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel_io import LoadedChannel, _tupled
+from .channel_io import LoadedChannel
 from .channels import UnifilarChannel
 from .errors import DomainError
 from .rational import as_fraction
@@ -33,7 +33,6 @@ BASE_F = ((0, 1), (1, 0)), ((1, 1), (0, 1))
 
 
 def _make(exact_w, f, label, params) -> LoadedChannel:
-    exact_w = _tupled(exact_w)
     channel = UnifilarChannel(np.array(exact_w, dtype=float), np.array(f))
     return LoadedChannel("unifilar", channel, label=label, params=dict(params), exact_w=exact_w)
 
