@@ -473,7 +473,7 @@ def test_connectivity_command(frozen_channel, capsys):
 
 
 def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
-    from fscfb import dumps_channel, noiseless_z_pair
+    from fscfb import dumps_channel, mixing_pair, noiseless_z_pair
 
     path = tmp_path / "tuned.json"
     path.write_text(
@@ -487,13 +487,17 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     assert err.count("restarts is ignored") == 1 and err.count("seed is ignored") == 1
     assert row["converged"] and 0.0 <= row["gap"] < 1e-10
     assert row["s0"] == "0"  # file s0 picked up
-    # the flags are accepted and ignored the same way
-    code, out2, err = run_cli(
-        capsys, "capacity", str(path), "--n", "1", "--seed", "4", "--restarts", "3",
-        "--format", "json",
-    )
-    assert code == 0 and json.loads(out2)["rows"] == doc["rows"]
-    # once for the file, once for the flag
+    # CLI flags still win over the file block; a cell that needs more than
+    # three updates shows which max_iters was used
+    path = tmp_path / "capped.json"
+    path.write_text(dumps_channel(mixing_pair("1/4", "1/8"), s0=0,
+                                  optimizer={"max_iters": 2, "restarts": 2, "seed": 9}))
+    cell = ("capacity", str(path), "--n", "2", "--format", "json")
+    code, out, err = run_cli(capsys, *cell)
+    assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 2  # file block resolved
+    code, out, err = run_cli(capsys, *cell, "--max-iters", "3", "--seed", "4", "--restarts", "3")
+    assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 3
+    # the flags are accepted and ignored the same way: once for the file, once for the flag
     assert err.count("restarts is ignored") == 2 and err.count("seed is ignored") == 2
 
 
