@@ -82,6 +82,21 @@ def _logsumexp(t, out=None):
     return np.add(np.log(total, out=total), top, out=out)
 
 
+def _normalize(t):
+    """Shift every column of ``t`` in place so that sum_x exp t[x, h] = 1;
+    return the shifts. The column max comes off before the log of the sum:
+    near -1.8e15 the ulp is 0.25, so t - (top + ln total) would round a
+    column off the simplex."""
+    top = np.maximum.reduce(t, axis=0)
+    t -= top
+    if len(t) == 2:
+        lse = np.logaddexp(t[0], t[1])
+    else:
+        lse = np.log(np.add.reduce(np.exp(t), axis=0))
+    t -= lse
+    return top + lse
+
+
 class _Lattice:
     """The nodes (s_n, y^n) of a unifilar channel run from a known s_0.
 
@@ -365,7 +380,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             pruned += n_drop
             kept |= back
             update[drop] = -np.inf
-            update -= _logsumexp(update)
+            _normalize(update)
             best = max(best, (value, theta), key=lambda b: b[0])
             pairs, pending = 0, False
             if n_back:
@@ -390,8 +405,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
                 coef = [omega, *(-omega * c for c in gamma), *pad, *(-c for c in gamma), *pad]
                 move = np.dot(coef, flat).reshape(theta.shape)
                 trial = theta + move
-                shift = _logsumexp(trial)
-                trial -= shift
+                shift = _normalize(trial)
                 trial_value, trial_exact = model.forward(trial)
                 if trial_value >= value:
                     accelerated += any(gamma)

@@ -868,6 +868,36 @@ def test_bracket_from_a_start_on_a_face_overlaps_the_uniform_start(cell):
     assert est.value <= upper + 1e-12
 
 
+@pytest.mark.parametrize("offsets", [(0.0, -1.25, -0.25), (0.25, 0.0)])
+def test_normalize_keeps_a_far_column_on_the_simplex(offsets):
+    """A secant trial can put a column near -1.8e15, where the ulp is 0.25:
+    t - (top + ln total) summed to 0.976 on the three-entry column and to
+    1.079 on the binary one. Taking the max off first keeps both at 1."""
+    t = -1.8e15 + np.array(offsets)[:, None]
+    shift = capacity._normalize(t)
+    np.testing.assert_allclose(np.exp(t).sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    assert shift == pytest.approx(-1.8e15, rel=1e-15)
+
+
+class IterateCheckedLattice(_Lattice):
+    """A lattice that checks the policy of every iterate ``_ascend`` moves
+    to: ``backward`` runs on the last accepted policy."""
+
+    def backward(self, out, admit=None):
+        np.testing.assert_allclose(np.exp(self.theta).sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        return super().backward(out, admit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unifilar_cells())
+def test_every_accepted_iterate_is_a_policy(cell):
+    rng, u, s0, n = cell
+    model = IterateCheckedLattice(u, s0, n)
+    with np.errstate(divide="ignore"):
+        theta = np.log(stochastic(rng, model.theta_shape[::-1], zeros=True)).T.copy()
+    _ascend(model, theta, OptimizerSettings(max_iters=200))
+
+
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
 def test_optimize_fast_value_matches_dense_value(cell):
     # the path-table value against the dense and the brute-force oracle
