@@ -5,11 +5,12 @@ JSON with fields ``x_size``, ``y_size``, ``s_size``, then either ``w`` +
 [s'][x][y][s]). Probabilities may be JSON numbers or exact fraction
 strings like "1/4"; a unifilar ``w`` is kept and echoed entry by entry as
 given. An optional ``s0``, a free-form ``label``/``params`` pair, and an
-``optimizer`` settings block are carried through.
+``optimizer`` settings block are carried through. Files are UTF-8.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,9 +43,11 @@ class LoadedChannel:
     params: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
     exact_w: tuple | None = None    # a unifilar w as given: Fractions, and floats for decimals
+    digest: str | None = None       # content_digest of the file it was loaded from
 
     def __post_init__(self):
-        if self.kind == "unifilar":
+        # a table given as tuples, as loads_channel builds it, is kept as is
+        if self.kind == "unifilar" and not isinstance(self.exact_w, tuple):
             given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
             self.exact_w = _tupled(given)
 
@@ -54,21 +57,72 @@ class LoadedChannel:
         return compose_unifilar(self.channel)
 
 
-def _parse_prob_table(node, path: str):
-    """A nested probability table as given, in tuples: a Fraction for a
-    "p/q" string or an integer, the float itself for a decimal."""
-    if isinstance(node, list):
-        return tuple(_parse_prob_table(sub, f"{path}[{i}]") for i, sub in enumerate(node))
-    if isinstance(node, str):
-        return as_fraction(node)
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ValidationError(f"probability at {path} must be a number or 'p/q' string")
-    return Fraction(node) if isinstance(node, int) else node
+def content_digest(data: bytes) -> str:
+    """The digest a report gives for an input's bytes."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _table(node, shape, path: str, row):
+    """The nested list ``node`` as nested tuples of ``shape``, each innermost
+    list mapped by ``row(values, path)``. A list of the wrong length, or an
+    entry where a list belongs, is refused with its path."""
+    if not isinstance(node, list):
+        raise ValidationError(f"{path} must be a list of {shape[0]} entries")
+    if len(node) != shape[0]:
+        raise ValidationError(f"{path} has {len(node)} entries, expected {shape[0]}")
+    if len(shape) == 1:
+        return row(node, path)
+    return tuple(_table(sub, shape[1:], f"{path}[{i}]", row) for i, sub in enumerate(node))
+
+
+def _prob_table(node, shape, name: str):
+    """A probability table as given, in nested tuples: a Fraction for a
+    "p/q" string or an integer, the float itself for a decimal; and its
+    float array. Each distinct string is converted once."""
+    parsed = {}  # "p/q" -> (Fraction, float)
+    floats = []
+
+    def row(values, path):
+        out = []
+        for i, value in enumerate(values):
+            kind = type(value)  # a JSON value: exactly str, float, int, bool, ...
+            if kind is str:
+                pair = parsed.get(value)
+                if pair is None:
+                    exact = as_fraction(value)
+                    pair = parsed[value] = exact, float(exact)
+                exact, approx = pair
+            elif kind is float:
+                exact = approx = value
+            elif kind is int:
+                exact, approx = Fraction(value), float(value)
+            else:
+                raise ValidationError(f"probability at {path}[{i}] must be a number or 'p/q' string")
+            out.append(exact)
+            floats.append(approx)
+        return tuple(out)
+
+    table = _table(node, shape, name, row)
+    return table, np.array(floats).reshape(shape)
+
+
+def _state_row(values, path):
+    if not {type(v) for v in values} <= {int, float}:
+        raise ValidationError(f"{path} must contain integer state indices")
+    return tuple(values)
 
 
 def load_channel(path) -> LoadedChannel:
-    text = Path(path).read_text()
-    return loads_channel(text)
+    """Load a channel file, read once: its UTF-8 text is parsed and its
+    bytes give ``digest``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"channel file is not UTF-8: {exc}") from exc
+    loaded = loads_channel(text)
+    loaded.digest = content_digest(data)
+    return loaded
 
 
 def loads_channel(text: str) -> LoadedChannel:
@@ -106,26 +160,16 @@ def loads_channel(text: str) -> LoadedChannel:
     label = data.get("label")
     params = data.get("params", {}) or {}
 
+    shape = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
     if "law" in data:
-        law = np.array(_parse_prob_table(data["law"], "law"), dtype=float)
-        want = (sizes["s_size"], sizes["x_size"], sizes["y_size"], sizes["s_size"])
-        if law.shape != want:
-            raise ValidationError(f"law has shape {law.shape}, expected {want}")
+        _, law = _prob_table(data["law"], shape + shape[:1], "law")
         channel = FiniteStateChannel(law)
         return LoadedChannel("general", channel, s0, label, params, optimizer)
 
     if "w" not in data or "f" not in data:
         raise ValidationError("channel file needs either 'law' or both 'w' and 'f'")
-    exact_w = _parse_prob_table(data["w"], "w")
-    w = np.array(exact_w, dtype=float)
-    want = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
-    if w.shape != want:
-        raise ValidationError(f"w has shape {w.shape}, expected {want}")
-    f = np.array(data["f"])
-    if f.dtype.kind not in "iuf":
-        raise ValidationError("f must contain integer state indices")
-    if f.shape != want:
-        raise ValidationError(f"f has shape {f.shape}, expected {want}")
+    exact_w, w = _prob_table(data["w"], shape, "w")
+    f = np.array(_table(data["f"], shape, "f", _state_row))
     channel = UnifilarChannel(w, f)
     return LoadedChannel("unifilar", channel, s0, label, params, optimizer, exact_w)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import functools
 import io
 import json
 import sys
@@ -56,16 +56,8 @@ from .reduction import (
 GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "extend-states")
 
 
-def _digest_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _digest_file(path) -> str:
-    return _digest_bytes(Path(path).read_bytes())
-
-
 def _digest_params(text: str) -> str:
-    return _digest_bytes(text.encode())
+    return channel_io.content_digest(text.encode())
 
 
 def _fmt(v) -> str:
@@ -191,7 +183,7 @@ def cmd_validate(args):
         {"property": "indecomposability_gap_n", "value": gap_n},
         {"property": "indecomposability_gap", "value": gap},
     ]
-    return rows, {}, _digest_file(args.channel)
+    return rows, {}, loaded.digest
 
 
 def _estimate_row(n, s0_label, est):
@@ -227,7 +219,7 @@ def cmd_capacity(args):
             est = optimize_rate(u, s0, n, cfg)
             rows.append(_estimate_row(n, str(s0), est))
     diags["optimizer"] = f"max_iters={cfg.max_iters} tol={cfg.tol:g}"
-    return rows, diags, _digest_file(args.channel)
+    return rows, diags, loaded.digest
 
 
 def cmd_directed_info(args):
@@ -250,7 +242,7 @@ def cmd_directed_info(args):
             "rate": rate,
         }
     ]
-    return rows, {}, _digest_file(args.channel)
+    return rows, {}, loaded.digest
 
 
 def cmd_dmc_capacity(args):
@@ -265,7 +257,7 @@ def cmd_dmc_capacity(args):
            "bracket": result.bracket}
     for x, p in enumerate(result.input_dist):
         row[f"p_x{x}"] = float(p)
-    return [row], {}, _digest_file(args.channel)
+    return [row], {}, loaded.digest
 
 
 def _build_gallery(args):
@@ -302,7 +294,7 @@ def cmd_gallery(args):
             "y_size": g.channel.y_size,
             "s_size": g.channel.s_size,
             "path": args.out,
-            "file_digest": _digest_bytes(text.encode()),
+            "file_digest": channel_io.content_digest(text.encode()),
         }
     ]
     return rows, {}, _digest_params(param_str)
@@ -357,8 +349,9 @@ def cmd_lambda_seq(args):
     if (args.program is None) == (args.mock is None):
         raise DomainError("give exactly one of --program or --mock")
     if args.program:
-        oracle = CounterMachineOracle(Path(args.program).read_text())
-        digest = _digest_file(args.program)
+        data = Path(args.program).read_bytes()
+        oracle = CounterMachineOracle(data.decode("utf-8"))
+        digest = channel_io.content_digest(data)
     else:
         oracle = _parse_mock(args.mock)
         digest = _digest_params(f"mock={args.mock}")
@@ -377,7 +370,7 @@ def cmd_indecomp(args):
     gaps = indecomposability_gaps(general, args.n)
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     rows = [{"n": n, "gap": gaps[n - 1]} for n in horizons]
-    return rows, {}, _digest_file(args.channel)
+    return rows, {}, loaded.digest
 
 
 def cmd_connectivity(args):
@@ -391,7 +384,7 @@ def cmd_connectivity(args):
             "max_hops": conn.max_hops,
         }
     ]
-    return rows, {}, _digest_file(args.channel)
+    return rows, {}, loaded.digest
 
 
 # --- parser ----------------------------------------------------------------
@@ -505,33 +498,25 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with a subcommand name, only that subparser is built.
-
-    A one-subcommand parser still lists every name in the top-level usage,
-    which it prints with an unrecognized-argument error, so its messages
-    match the full parser's.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each call of ``main``
+    parses into a fresh namespace, so calls do not see each other's args."""
     parser = argparse.ArgumentParser(
         prog="fscfb",
         description="Unifilar finite-state channels with feedback: validation, "
         "directed information, and finite-horizon capacity estimates.",
     )
-    # the full parser keeps argparse's own metavar: its errors name the action by it
-    metavar = None if subcommand is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_args) in SUBCOMMANDS.items():
-        if subcommand in (None, name):
-            add_args(sub.add_parser(name, help=help_text))
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # a call pays only for its own subparser; anything else gets the full tree
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rows, diagnostics, digest = args.handler(args)
     except (FscError, OSError, ValueError) as exc:

@@ -6,6 +6,7 @@ import pytest
 
 from fscfb import (
     FiniteStateChannel,
+    FscError,
     LoadedChannel,
     UnifilarChannel,
     ValidationError,
@@ -197,3 +198,55 @@ def test_fraction_probability_strings_validate():
     )
     # exact thirds survive the echo even though floats cannot represent them
     assert '"2/3"' in dumps_channel(loaded)
+
+
+@pytest.mark.parametrize("table, value, where", [
+    ("w", [[["1/2", "1/2"], [1]]], r"^w\[0\]\[1\] has 1 entries, expected 2"),
+    ("law", [[[[1]], [[1, 0]]]], r"^law\[0\]\[1\]\[0\] has 2 entries, expected 1"),
+    ("f", [[[0, 0], [0]]], r"^f\[0\]\[1\] has 1 entries, expected 2"),
+    ("w", [[["1/2", "1/2"], "1"]], r"^w\[0\]\[1\] must be a list of 2 entries"),
+    ("w", [[[["1/2"], "1/2"], [1, 0]]], r"^probability at w\[0\]\[0\]\[0\]"),
+    ("f", [[[[0], 0], [0, 0]]], "integer state indices"),
+])
+def test_ragged_tables_raise_a_validation_error_naming_the_table(table, value, where):
+    """A row of the wrong length used to reach np.array, which raised its
+    own untyped ValueError."""
+    doc = {"format": "fsc-channel", "version": 1, "x_size": 2, "y_size": 2, "s_size": 1,
+           "w": [[["1/2", "1/2"], [1, 0]]], "f": [[[0, 0], [0, 0]]]}
+    if table == "law":
+        doc["y_size"] = 1
+        del doc["w"], doc["f"]
+    doc[table] = value
+    with pytest.raises(ValidationError, match=where) as exc:
+        loads_channel(json.dumps(doc))
+    assert isinstance(exc.value, FscError)
+
+
+def test_repeated_fraction_strings_share_one_parse():
+    doc = {"format": "fsc-channel", "version": 1, "x_size": 2, "y_size": 2, "s_size": 2,
+           "w": [[["1/3", "2/3"], ["2/3", "1/3"]], [["1/3", "2/3"], [1, 0]]],
+           "f": [[[0, 1], [1, 0]], [[1, 1], [0, 1]]]}
+    loaded = loads_channel(json.dumps(doc))
+    assert loaded.exact_w[0][0][0] is loaded.exact_w[1][0][0]
+    assert loaded.exact_w[1][1] == (Fraction(1), Fraction(0))
+    np.testing.assert_array_equal(loaded.channel.w, [[[1 / 3, 2 / 3], [2 / 3, 1 / 3]],
+                                                     [[1 / 3, 2 / 3], [1.0, 0.0]]])
+    assert dumps_channel(loaded) == dumps_channel(loads_channel(dumps_channel(loaded)))
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(dumps_channel(noiseless_z_pair("1/4")).replace(
+        '"noiseless-z"', '"caf\xe9"').encode("latin-1"))
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        load_channel(path)
+
+
+def test_load_channel_records_the_digest_of_the_bytes_it_parsed(tmp_path):
+    import hashlib
+
+    path = tmp_path / "z.json"
+    path.write_text(dumps_channel(noiseless_z_pair("1/4")))
+    loaded = load_channel(path)
+    assert loaded.digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    assert loads_channel(path.read_text()).digest is None

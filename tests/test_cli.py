@@ -1,6 +1,12 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,38 +391,26 @@ def exit_outcome(capsys, parse, argv):
     return exc.value.code, out, err
 
 
-def spy_build_parser(monkeypatch):
-    built = []
-
-    def spy(subcommand=None):
-        built.append(subcommand)
-        return build_parser(subcommand)
-
-    monkeypatch.setattr(fscfb.cli, "build_parser", spy)
-    return built
-
-
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
-def test_one_subcommand_parser_reads_like_the_full_parser(capsys, monkeypatch, name):
-    # help, a missing required argument, and a stray token the top level rejects
+def test_one_subcommand_parser_reads_like_the_full_parser(capsys, name):
+    """``main`` ends a help or a bad call of one subcommand exactly as a
+    freshly built parser does: help, a missing required argument, and a
+    stray token the top level rejects. Its cached parser keeps no state from
+    the calls before."""
+    fresh = build_parser.__wrapped__()
     for argv in ([name, "--help"], [name], [name, "x", "--no-such-flag"]):
-        full = exit_outcome(capsys, build_parser().parse_args, argv)
-        assert exit_outcome(capsys, build_parser(name).parse_args, argv) == full
-        built = spy_build_parser(monkeypatch)
+        full = exit_outcome(capsys, fresh.parse_args, argv)
         assert exit_outcome(capsys, main, argv) == full
-        assert built == [name]
     assert exit_outcome(capsys, main, [name, "--help"])[0] == 0
     code, _, err = exit_outcome(capsys, main, [name])
     assert code == 2 and "the following arguments are required" in err
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--", "validate"]])
-def test_top_level_messages_come_from_the_full_parser(capsys, monkeypatch, argv):
-    full = exit_outcome(capsys, build_parser().parse_args, argv)
-    built = spy_build_parser(monkeypatch)
+def test_top_level_messages_come_from_the_full_parser(capsys, argv):
+    full = exit_outcome(capsys, build_parser.__wrapped__().parse_args, argv)
     code, out, err = exit_outcome(capsys, main, argv)
     assert (code, out, err) == full
-    assert built == [None]
     assert code == (0 if argv == ["--help"] else 2)
     assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
     if argv == []:
@@ -594,3 +588,122 @@ def test_table_format_contains_meta(frozen_channel, capsys):
     assert out.startswith("command: fscfb validate")
     assert "input_digest: sha256:" in out
     assert "seed:" not in out
+
+
+def test_repeated_calls_print_the_same_bytes(mixing_channel, capsys):
+    argv = ("indecomp", str(mixing_channel), "--n", "3", "--sweep-n", "--format", "json")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv)[:2] == first[:2]
+
+
+def test_a_rejected_call_leaves_the_next_call_unchanged(frozen_channel, capsys):
+    argv = ("capacity", str(frozen_channel), "--n", "1", "--s0", "0", "--format", "json")
+    code, alone, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # argparse parses every known flag of this call, then rejects the stray one
+    rejected = exit_outcome(capsys, main, [*argv[:2], "--n", "2", "--all-states", "--sweep-n",
+                                           "--format", "csv", "--no-such-flag"])
+    assert rejected[0] == 2
+    assert run_cli(capsys, *argv)[:2] == (0, alone)
+
+
+def test_a_gallery_default_does_not_leak_into_the_next_call(tmp_path, capsys):
+    """``cmd_gallery`` writes ``args.mix``; a mixing call without --mix after
+    one with it still writes the mix = 0 channel."""
+    from fscfb import dumps_channel, mixing_pair
+
+    run_cli(capsys, "gallery", "mixing", "--eps", "1/4", "--mix", "1/8",
+            "--out", str(tmp_path / "mixed.json"))
+    path = tmp_path / "plain.json"
+    code, out, _ = run_cli(capsys, "gallery", "mixing", "--eps", "1/4", "--out", str(path),
+                           "--format", "json")
+    assert code == 0
+    assert path.read_text() == dumps_channel(mixing_pair("1/4", "0"))
+    params = "mixing eps=1/4 mix=0 k=None x=None y=None s=None"
+    assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(params.encode()).hexdigest()
+
+
+def test_calls_to_different_subcommands_build_the_parser_once(frozen_channel, tmp_path, capsys,
+                                                              monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    try:
+        ch = str(frozen_channel)
+        for argv in (("validate", ch), ("connectivity", ch), ("dmc-capacity", ch),
+                     ("lambda-seq", "--mock", "never", "--input", "1"),
+                     ("gallery", "noiseless-z", "--eps", "1/4", "--out", str(tmp_path / "z.json")),
+                     ("validate", ch)):
+            assert run_cli(capsys, *argv)[0] == 0
+    finally:
+        build_parser.cache_clear()
+    # the top-level parser, then one subparser per subcommand, all in the first call
+    assert built == ["fscfb"] + [f"fscfb {name}" for name in SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("capacity", "--n", "1", "--s0", "0"), ("directed-info", "--n", "2"),
+    ("dmc-capacity",), ("indecomp", "--n", "2"), ("connectivity",),
+], ids=lambda argv: argv[0])
+def test_input_digest_is_the_sha256_of_the_file_read_once(mixing_channel, capsys, monkeypatch,
+                                                         argv):
+    data = mixing_channel.read_bytes()
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def spy(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    monkeypatch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("read as text"))
+    code, out, _ = run_cli(capsys, argv[0], str(mixing_channel), *argv[1:], "--format", "json")
+    assert code == 0
+    assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert reads == [mixing_channel]
+
+
+def test_lambda_seq_program_digest_is_the_sha256_of_its_bytes(tmp_path, capsys):
+    path = tmp_path / "parity.cm"
+    path.write_bytes(("# halts iff r0 is even — a comment\n" + PARITY).encode())
+    code, out, _ = run_cli(capsys, "lambda-seq", "--program", str(path), "--input", "2",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["input_digest"] == (
+        "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def test_a_non_ascii_label_loads_under_an_ascii_locale(tmp_path):
+    """Channel files are UTF-8 whatever the locale: with LC_ALL=C and UTF-8
+    mode off, the preferred encoding is ASCII, and a text read with it
+    would fail on the label."""
+    from fscfb import dumps_channel, noiseless_z_pair
+
+    doc = json.loads(dumps_channel(noiseless_z_pair("1/4")))
+    doc["label"] = "Zürich switch ε"
+    path = tmp_path / "label.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    script = (
+        "import sys\n"
+        "from fscfb.channel_io import dumps_channel, load_channel\n"
+        "from fscfb.cli import main\n"
+        "import locale\n"
+        "assert locale.getpreferredencoding(False).lower() in ('ascii', 'ansi_x3.4-1968')\n"
+        "sys.stdout.write(dumps_channel(load_channel(sys.argv[1])))\n"
+        "sys.exit(main(['validate', sys.argv[1], '--format', 'json']))\n"
+    )
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(fscfb.cli.__file__).resolve().parent.parent)}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    echoed = json.JSONDecoder().raw_decode(proc.stdout)[0]
+    assert echoed["label"] == "Zürich switch ε"
