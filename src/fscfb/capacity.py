@@ -29,6 +29,7 @@ _FACE_EVERY = 32                 # updates between changes of the policy's suppo
 _OMEGA_MAX = 1.5**40             # trials tie once the rate is flat to rounding; omega stops here
 _MEMORY = 4                      # update pairs each secant step is fitted to
 _RIDGE = 1e-8                    # on the unit diagonal of the secant fit
+_TINY = float(np.finfo(float).tiny)  # a secant pair of smaller weight gets gamma 0
 _BLOCK = 1 << 14                 # columns per pass of a large secant fit's Gram product
 
 
@@ -249,13 +250,21 @@ def _secant(gram):
     nested lists, of g, dg_1, .., dg_k: the least-squares fit of g by the
     dg's, with ``_RIDGE`` added to the diagonal of their block A once A is
     scaled to a unit diagonal; that is, A's diagonal grows by the factor
-    1 + ``_RIDGE``. A dg of zero weight gets gamma 0. The system is at most
-    ``_MEMORY`` square and positive definite, so Gaussian elimination
-    without pivoting, in plain floats, solves it."""
+    1 + ``_RIDGE``. A dg of zero weight gets gamma 0, and so does one whose
+    weight <dg, dg>_w is subnormal: its Gram entries keep a few bits at
+    most, too few for the ridge to keep the system positive definite (a
+    weight of 2.5e-323 eliminated to a pivot of exactly 0). The system is
+    at most ``_MEMORY`` square and positive definite, so Gaussian
+    elimination without pivoting, in plain floats, solves it."""
     k = len(gram) - 1
-    rows = [row[1:] + row[:1] for row in gram[1:]]  # [A | b]
-    for i, row in enumerate(rows):
-        row[i] = row[i] * (1.0 + _RIDGE) if row[i] > 0.0 else 1.0
+    live = [gram[i][i] >= _TINY for i in range(1, k + 1)]
+    rows = []  # [A | b], with a row and column of the identity for each dead dg
+    for i, row in enumerate(gram[1:]):
+        if live[i]:
+            rows.append([a if ok else 0.0 for a, ok in zip(row[1:], live)] + row[:1])
+            rows[i][i] *= 1.0 + _RIDGE
+        else:
+            rows.append([float(i == j) for j in range(k)] + [0.0])
     for i, pivot in enumerate(rows):
         for row in rows[i + 1:]:
             f = row[i] / pivot[i]

@@ -749,6 +749,28 @@ def test_one_pair_secant_fit_is_the_closed_form():
     assert gamma[1] == 0.0 and all(np.isfinite(gamma))
 
 
+def test_secant_fit_gives_a_pair_of_subnormal_weight_gamma_0():
+    """A Gram matrix an ascent from a start on a face produced: dg_2's
+    weight 2.5e-323 is subnormal, and eliminating it against dg_1 left a
+    pivot of exactly 0. That pair gets gamma 0, and the others the fit
+    they get without it."""
+    gram = [
+        [1.760927925138783e-32, 0.0, 0.0, 2.3862761680228836e-32, 0.0],
+        [0.0, 1.3144383978714992e-266, 5.969660660033487e-295,
+         1.522812483853231e-265, 3.9239496301464607e-266],
+        [0.0, 5.969660660033487e-295, 2.5e-323, 6.916013555437252e-294,
+         1.7821031230501447e-294],
+        [2.3862761680228836e-32, 1.5228124838532312e-265, 6.916013555437252e-294,
+         3.6369726537910854e-32, 4.54600192178992e-265],
+        [0.0, 3.9239496301464607e-266, 1.7821031230501447e-294,
+         4.54600192178992e-265, 1.1714037512035468e-265],
+    ]
+    gamma = _secant(gram)
+    assert gamma[1] == 0.0 and all(np.isfinite(gamma))
+    kept = [0, 1, 3, 4]
+    assert [gamma[0], *gamma[2:]] == _secant([[gram[i][j] for j in kept] for i in kept])
+
+
 def test_ascent_keeps_every_trial_finite_once_the_rate_is_flat():
     """Past convergence every over-relaxed trial ties with the rate to
     rounding and is accepted; omega is capped, so the steps never overflow
