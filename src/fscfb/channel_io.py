@@ -5,19 +5,21 @@ JSON with fields ``x_size``, ``y_size``, ``s_size``, then either ``w`` +
 [s'][x][y][s]). Probabilities may be JSON numbers or exact fraction
 strings like "1/4"; a unifilar ``w`` is kept and echoed entry by entry as
 given. An optional ``s0``, a free-form ``label``/``params`` pair, and an
-``optimizer`` settings block are carried through. Files are UTF-8.
+``optimizer`` settings block are carried through, checked once, when the
+``LoadedChannel`` record is built. Files are UTF-8.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from .capacity import OptimizerSettings
 from .channels import FiniteStateChannel, UnifilarChannel, compose_unifilar
 from .errors import ValidationError
 from .rational import as_fraction
@@ -25,16 +27,19 @@ from .rational import as_fraction
 FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
 
+SETTING_KEYS = tuple(setting.name for setting in fields(OptimizerSettings))
 # read, for files written for the old multi-start optimizer, and ignored
 # with a warning: the solver is deterministic and runs once
 IGNORED_KEYS = ("restarts", "seed")
-OPTIMIZER_KEYS = ("max_iters", "tol") + IGNORED_KEYS
 
 
 @dataclass
 class LoadedChannel:
     """A channel with its file header: a loaded file, or a gallery channel
-    with the exact tables and parameters behind it."""
+    with the exact tables and parameters behind it. The header is checked
+    when the record is built: ``s0`` is None or a state of the channel,
+    ``params`` an object, and ``optimizer`` an object whose keys are
+    ``SETTING_KEYS`` or ``IGNORED_KEYS``, with valid settings."""
 
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
@@ -46,6 +51,16 @@ class LoadedChannel:
     digest: str | None = None       # content_digest of the file it was loaded from
 
     def __post_init__(self):
+        if self.s0 is not None and not (_is_int(self.s0) and 0 <= self.s0 < self.channel.s_size):
+            raise ValidationError(f"s0 = {self.s0!r} outside 0..{self.channel.s_size - 1}")
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"params must be an object, got {self.params!r}")
+        if not isinstance(self.optimizer, dict):
+            raise ValidationError(f"optimizer block must be an object, got {self.optimizer!r}")
+        unknown = set(self.optimizer) - set(SETTING_KEYS + IGNORED_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
+        OptimizerSettings(**{k: v for k, v in self.optimizer.items() if k in SETTING_KEYS})
         # a table given as tuples, as loads_channel builds it, is kept as is
         if self.kind == "unifilar" and not isinstance(self.exact_w, tuple):
             given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
@@ -142,36 +157,19 @@ def loads_channel(text: str) -> LoadedChannel:
             raise ValidationError(f"{key} must be a positive integer")
         sizes[key] = data[key]
 
-    s0 = data.get("s0")
-    if s0 is not None:
-        if not _is_int(s0) or not 0 <= s0 < sizes["s_size"]:
-            raise ValidationError(f"s0 = {s0!r} outside 0..{sizes['s_size'] - 1}")
-
-    optimizer = {}
-    block = data.get("optimizer", {})
-    if block:
-        if not isinstance(block, dict):
-            raise ValidationError("optimizer block must be an object")
-        unknown = set(block) - set(OPTIMIZER_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
-        optimizer = dict(block)
-
-    label = data.get("label")
-    params = data.get("params", {}) or {}
-
+    header = data.get("s0"), data.get("label"), data.get("params", {}), data.get("optimizer", {})
     shape = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
     if "law" in data:
         _, law = _prob_table(data["law"], shape + shape[:1], "law")
         channel = FiniteStateChannel(law)
-        return LoadedChannel("general", channel, s0, label, params, optimizer)
+        return LoadedChannel("general", channel, *header)
 
     if "w" not in data or "f" not in data:
         raise ValidationError("channel file needs either 'law' or both 'w' and 'f'")
     exact_w, w = _prob_table(data["w"], shape, "w")
     f = np.array(_table(data["f"], shape, "f", _state_row))
     channel = UnifilarChannel(w, f)
-    return LoadedChannel("unifilar", channel, s0, label, params, optimizer, exact_w)
+    return LoadedChannel("unifilar", channel, *header, exact_w)
 
 
 def _is_int(value) -> bool:
@@ -204,11 +202,10 @@ def _params_out(params: dict):
     return out
 
 
-def dumps_channel(
-    loaded: LoadedChannel, s0: int | None = None, optimizer: dict | None = None
-) -> str:
-    """Serialize a channel deterministically. A unifilar ``w`` echoes its
-    table as given: fractions as "p/q", decimals to 12 significant digits."""
+def dumps_channel(loaded: LoadedChannel) -> str:
+    """Serialize a record deterministically, with its ``s0`` and
+    ``optimizer`` block. A unifilar ``w`` echoes its table as given:
+    fractions as "p/q", decimals to 12 significant digits."""
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     if loaded.label is not None:
         doc["label"] = loaded.label
@@ -217,20 +214,15 @@ def dumps_channel(
     doc["kind"] = loaded.kind
     ch = loaded.channel
     doc["x_size"], doc["y_size"], doc["s_size"] = ch.x_size, ch.y_size, ch.s_size
-    if s0 is None:
-        s0 = loaded.s0
-    if s0 is not None:
-        doc["s0"] = int(s0)
+    if loaded.s0 is not None:
+        doc["s0"] = loaded.s0
     if loaded.kind == "unifilar":
         doc["w"] = _table_out(loaded.exact_w)
         doc["f"] = np.asarray(ch.f).tolist()
     else:
         doc["law"] = _table_out(ch.law.tolist())
-    if optimizer:
-        unknown = set(optimizer) - set(OPTIMIZER_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
-        doc["optimizer"] = optimizer
+    if loaded.optimizer:
+        doc["optimizer"] = loaded.optimizer
     return _pretty(doc) + "\n"
 
 

@@ -117,38 +117,25 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_settings(args, file_block: dict | None = None) -> OptimizerSettings:
-    """Optimizer settings: flags over the channel file's optimizer block over
-    the defaults. ``restarts`` and ``seed`` from either source are ignored
-    with a warning: the solver is deterministic and runs once."""
-    base = OptimizerSettings()
-    merged = {"max_iters": base.max_iters, "tol": base.tol}
-    block = dict(file_block or {})
+def _given(*values):
+    """The first of ``values`` that is not None: a flag over the channel
+    file over a default."""
+    return next((value for value in values if value is not None), None)
+
+
+def _resolve_settings(args, block: dict) -> OptimizerSettings:
+    """Optimizer settings from the flags, the channel file's optimizer block
+    and the defaults. ``restarts`` and ``seed`` from either source are
+    ignored with a warning: the solver is deterministic and runs once."""
     for key in channel_io.IGNORED_KEYS:
         if key in block:
-            del block[key]
             print(f"warning: the channel file's optimizer.{key} is ignored", file=sys.stderr)
         if getattr(args, key) is not None:
             print(f"warning: --{key} is ignored", file=sys.stderr)
-    merged.update(block)
-    for key in merged:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    return OptimizerSettings(max_iters=_setting(merged, "max_iters", int),
-                             tol=_setting(merged, "tol", float))
-
-
-def _setting(merged, key, kind):
-    """``merged[key]`` as a ``kind``. A boolean, a string, a null or a list
-    is refused, and so is an int setting with a fractional part: 2.0 passes,
-    2.5 is not truncated to 2 nor ``true`` read as 1."""
-    value = merged[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"optimizer setting {key} must be a number, got {value!r}")
-    if kind is int and not float(value).is_integer():
-        raise ValidationError(f"optimizer setting {key} must be a whole number, got {value!r}")
-    return kind(value)
+    return OptimizerSettings(**{
+        key: _given(getattr(args, key), block.get(key), getattr(OptimizerSettings, key))
+        for key in channel_io.SETTING_KEYS
+    })
 
 
 def _load_unifilar(path):
@@ -164,10 +151,7 @@ def _load_unifilar(path):
 def cmd_validate(args):
     loaded = channel_io.load_channel(args.channel)
     general = loaded.as_general()
-    if loaded.kind == "unifilar":
-        unifilar = True
-    else:
-        unifilar = bool((general.law > 0).sum(axis=3).max() <= 1)
+    unifilar = bool((general.law > 0).sum(axis=3).max() <= 1)
     conn = strongly_connected(general)
     gap_n = args.n
     gap = indecomposability_gap(general, gap_n)
@@ -203,7 +187,8 @@ def cmd_capacity(args):
     cfg = _resolve_settings(args, loaded.optimizer)
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
-    all_states = args.all_states or (args.s0 is None and loaded.s0 is None)
+    s0 = _given(args.s0, loaded.s0)
+    all_states = args.all_states or s0 is None
     rows = []
     diags = {}
     for n in horizons:
@@ -215,7 +200,6 @@ def cmd_capacity(args):
             rows.append(_estimate_row(n, "max", bracket.high))
             diags["note"] = bracket.note
         else:
-            s0 = args.s0 if args.s0 is not None else loaded.s0
             est = optimize_rate(u, s0, n, cfg)
             rows.append(_estimate_row(n, str(s0), est))
     diags["optimizer"] = f"max_iters={cfg.max_iters} tol={cfg.tol:g}"
@@ -225,7 +209,7 @@ def cmd_capacity(args):
 def cmd_directed_info(args):
     loaded = _load_unifilar(args.channel)
     u = loaded.channel
-    s0 = args.s0 if args.s0 is not None else (loaded.s0 or 0)
+    s0 = _given(args.s0, loaded.s0, 0)
     if args.dist:
         dist = np.array([float(as_fraction(tok)) for tok in args.dist.split(",")])
         policy_name = "iid"
@@ -247,7 +231,7 @@ def cmd_directed_info(args):
 
 def cmd_dmc_capacity(args):
     loaded = channel_io.load_channel(args.channel)
-    s0 = args.s0 if args.s0 is not None else (loaded.s0 or 0)
+    s0 = _given(args.s0, loaded.s0, 0)
     ch = loaded.channel
     if not 0 <= s0 < ch.s_size:
         raise DomainError(f"s0 = {s0} outside 0..{ch.s_size - 1}")
@@ -303,7 +287,7 @@ def cmd_gallery(args):
 def cmd_discontinuity_demo(args):
     eps = as_fraction(args.eps)
     ks = [int(tok) for tok in args.k_list.split(",") if tok]
-    cfg = _resolve_settings(args)
+    cfg = _resolve_settings(args, {})
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))

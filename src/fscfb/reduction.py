@@ -18,19 +18,17 @@ from .errors import DomainError, OracleError
 class FixedHaltingOracle:
     """Mock oracle with prescribed halting steps.
 
-    ``times`` may be a dict (missing inputs never halt), a single int used
-    for every input, or a callable returning a step or None.
+    ``times`` is a dict from input to halting step (missing inputs never
+    halt) or a single int used for every input.
     """
 
     def __init__(self, times):
         if isinstance(times, dict):
-            self._lookup = lambda n: times.get(n)
+            self._lookup = times.get
         elif isinstance(times, int):
             self._lookup = lambda n: times
-        elif callable(times):
-            self._lookup = times
         else:
-            raise DomainError("times must be a dict, an int, or a callable")
+            raise DomainError("times must be a dict or an int")
 
     def halted_within(self, n: int, m: int) -> bool:
         step = self._lookup(n)

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscfb import (
     FiniteStateChannel,
@@ -12,6 +15,9 @@ from fscfb import (
     ValidationError,
     compose_unifilar,
     dumps_channel,
+    extend_alphabets,
+    extend_states,
+    inverse_k_pair,
     load_channel,
     loads_channel,
     mixing_pair,
@@ -57,7 +63,7 @@ def test_general_law_round_trip(tmp_path):
     law[:, :, 1, 1] = 0.5
     c = FiniteStateChannel(law)
     path = tmp_path / "gen.json"
-    path.write_text(dumps_channel(LoadedChannel("general", c), s0=1))
+    path.write_text(dumps_channel(LoadedChannel("general", c, s0=1)))
     loaded = load_channel(path)
     assert loaded.kind == "general"
     assert loaded.s0 == 1
@@ -109,11 +115,11 @@ def test_mixed_table_round_trips_its_fractions_verbatim():
 
 def test_optimizer_block():
     g = noiseless_z_pair("1/4")
-    text = dumps_channel(g, optimizer={"restarts": 4, "seed": 7})
+    text = dumps_channel(replace(g, optimizer={"restarts": 4, "seed": 7}))
     loaded = loads_channel(text)
     assert loaded.optimizer == {"restarts": 4, "seed": 7}
     with pytest.raises(ValidationError, match="unknown optimizer"):
-        dumps_channel(g, optimizer={"stepsize": 3})
+        replace(g, optimizer={"stepsize": 3})
 
 
 def test_load_errors_name_coordinates():
@@ -138,6 +144,13 @@ def test_load_errors_name_coordinates():
         ({"s0": 5}, "s0"),
         ({"w": None, "f": None}, "either 'law'"),
         ({"x_size": 0}, "positive integer"),
+        ({"optimizer": []}, "optimizer block must be an object"),
+        ({"optimizer": 0}, "optimizer block must be an object"),
+        ({"optimizer": ""}, "optimizer block must be an object"),
+        ({"optimizer": False}, "optimizer block must be an object"),
+        ({"params": "abc"}, "params must be an object"),
+        ({"params": [1]}, "params must be an object"),
+        ({"optimizer": {"tol": "abc"}}, "tol must be a number"),
     ],
 )
 def test_load_rejects_malformed_documents(patch, message):
@@ -250,3 +263,40 @@ def test_load_channel_records_the_digest_of_the_bytes_it_parsed(tmp_path):
     loaded = load_channel(path)
     assert loaded.digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
     assert loads_channel(path.read_text()).digest is None
+
+
+GALLERY = (noiseless_z_pair("1/4"), mixing_pair("1/4", "1/8"), inverse_k_pair("1/3", 4),
+           extend_alphabets(mixing_pair("1/5", "1/16"), 3, 3),
+           extend_states(mixing_pair("1/4", "1/8"), 4))
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=6)
+               | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+OPTIMIZER_BLOCKS = st.fixed_dictionaries({}, optional={
+    "max_iters": st.integers(0, 10**6) | st.integers(0, 10**6).map(float),
+    "tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 9),
+    "restarts": JSON_VALUES,
+    "seed": JSON_VALUES,
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_written_record_reads_back_to_the_same_text(data):
+    """The file's s0, params and optimizer block survive a load: the text
+    ``dumps_channel`` writes is a fixed point of load-then-write."""
+    g = data.draw(st.sampled_from(GALLERY))
+    s0 = data.draw(st.none() | st.integers(0, g.channel.s_size - 1))
+    params = data.draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+    optimizer = data.draw(OPTIMIZER_BLOCKS)
+    text = dumps_channel(replace(g, s0=s0, params=params, optimizer=optimizer))
+    loaded = loads_channel(text)
+    assert (loaded.s0, loaded.params, loaded.optimizer) == (s0, params, optimizer)
+    assert dumps_channel(loaded) == text
+
+
+@pytest.mark.parametrize("header", [{"s0": 2}, {"s0": 1.0}, {"params": None}, {"optimizer": None},
+                                    {"optimizer": {"max_iters": -1}}])
+def test_a_record_checks_its_header_when_built(header):
+    with pytest.raises(ValidationError):
+        replace(noiseless_z_pair("1/4"), **header)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,6 @@ from fscfb import (
     FixedHaltingOracle,
     NeverHaltingOracle,
     lambda_double_sequence,
-    parse_program,
-    run_bounded,
 )
 from fscfb.cli import SUBCOMMANDS, build_parser, main
 from conftest import CountingOracle
@@ -239,6 +238,17 @@ def one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def write_with_block(path, block):
+    """The noiseless-z file from s0 = 0 with ``optimizer`` set to ``block``,
+    written as raw JSON: a record refuses a malformed block."""
+    from fscfb import dumps_channel, noiseless_z_pair
+
+    doc = json.loads(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0)))
+    doc["optimizer"] = block
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("dist", ["0.5,0.25,0.25", "1.5,-0.5", "0.5,0.4999999999"])
 def test_directed_info_refuses_what_is_not_an_input_law(frozen_channel, capsys, dist):
     # a wrong length, a negative entry, a sum 1e-10 short of 1
@@ -342,17 +352,15 @@ def counting_oracles(monkeypatch):
     """Make the CLI build CountingOracles that answer as its own oracles would."""
     made = []
 
-    def make(times):
-        made.append(CountingOracle(times))
-        return made[-1]
+    def counting(build):
+        def make(*args):
+            made.append(CountingOracle(build(*args)))
+            return made[-1]
+        return make
 
-    def program(text):
-        # queries stop at m = LAMBDA_M, so a run of that many steps decides them all
-        return make(lambda n: run_bounded(parse_program(text), n, LAMBDA_M))
-
-    monkeypatch.setattr(fscfb.cli, "FixedHaltingOracle", make)
-    monkeypatch.setattr(fscfb.cli, "NeverHaltingOracle", lambda: make({}))
-    monkeypatch.setattr(fscfb.cli, "CounterMachineOracle", program)
+    monkeypatch.setattr(fscfb.cli, "FixedHaltingOracle", counting(FixedHaltingOracle))
+    monkeypatch.setattr(fscfb.cli, "NeverHaltingOracle", counting(NeverHaltingOracle))
+    monkeypatch.setattr(fscfb.cli, "CounterMachineOracle", counting(CounterMachineOracle))
     return made
 
 
@@ -470,9 +478,8 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     from fscfb import dumps_channel, mixing_pair, noiseless_z_pair
 
     path = tmp_path / "tuned.json"
-    path.write_text(
-        dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer={"restarts": 2, "seed": 9})
-    )
+    path.write_text(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0,
+                                          optimizer={"restarts": 2, "seed": 9})))
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
     doc = json.loads(out)
     row = doc["rows"][0]
@@ -484,8 +491,8 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
     # CLI flags still win over the file block; a cell that needs more than
     # three updates shows which max_iters was used
     path = tmp_path / "capped.json"
-    path.write_text(dumps_channel(mixing_pair("1/4", "1/8"), s0=0,
-                                  optimizer={"max_iters": 2, "restarts": 2, "seed": 9}))
+    path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
+                                          optimizer={"max_iters": 2, "restarts": 2, "seed": 9})))
     cell = ("capacity", str(path), "--n", "2", "--format", "json")
     code, out, err = run_cli(capsys, *cell)
     assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 2  # file block resolved
@@ -499,8 +506,8 @@ def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
     from fscfb import dumps_channel, mixing_pair
 
     path = tmp_path / "whole.json"
-    path.write_text(dumps_channel(mixing_pair("1/4", "1/8"), s0=0,
-                                  optimizer={"max_iters": 2.0, "seed": 7.0}))
+    path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
+                                          optimizer={"max_iters": 2.0, "seed": 7.0})))
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
     doc = json.loads(out)
     assert code == 0 and "seed" not in doc and "seed is ignored" in err
@@ -522,10 +529,7 @@ def test_solver_flags_that_can_never_converge_fail_cleanly(frozen_channel, capsy
                                    {"max_iters": None}, {"tol": "1e-9"}, {"tol": True},
                                    {"max_iters": "5"}])
 def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
-    from fscfb import dumps_channel, noiseless_z_pair
-
-    path = tmp_path / "bad.json"
-    path.write_text(dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer=block))
+    path = write_with_block(tmp_path / "bad.json", block)
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1")
     assert one_error_line(code, out, err)
 
@@ -535,10 +539,21 @@ def test_seed_in_the_optimizer_block_is_ignored(tmp_path, capsys, seed):
     from fscfb import dumps_channel, noiseless_z_pair
 
     path = tmp_path / "seeded.json"
-    path.write_text(dumps_channel(noiseless_z_pair("1/4"), s0=0, optimizer={"seed": seed}))
+    path.write_text(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0, optimizer={"seed": seed})))
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
     assert code == 0 and "seed" not in json.loads(out)
     assert err.count("optimizer.seed is ignored") == 1
+
+
+@pytest.mark.parametrize("block", [{"tol": "abc"}, []], ids=["tol-string", "list"])
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("capacity", "--n", "1"), ("directed-info", "--n", "1"), ("dmc-capacity",),
+    ("indecomp",), ("connectivity",),
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_a_malformed_optimizer_block(tmp_path, capsys, argv, block):
+    path = write_with_block(tmp_path / "bad.json", block)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert one_error_line(code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -86,7 +86,7 @@ def test_lambda_sequence_matches_linear_scan_in_log_queries(m):
             (Fraction(1, 2**k) for k in range(1, m + 1) if reference.halted_within(1, k)),
             Fraction(1, 2**m),
         )
-        oracle = CountingOracle({1: step} if step else {})
+        oracle = CountingOracle(reference)
         assert lambda_double_sequence(oracle, 1, m) == linear
         assert oracle.queries <= 1 + (m - 1).bit_length()  # 1 + ceil(log2 m)
 
@@ -103,6 +103,14 @@ def test_lambda_sequence_domain_and_failures():
 
     with pytest.raises(OracleError, match="tape jam"):
         lambda_double_sequence(Broken(), 1, 3)
+
+
+def test_fixed_oracle_takes_a_dict_or_an_int():
+    assert FixedHaltingOracle({2: 3}).halted_within(2, 3)
+    assert not FixedHaltingOracle({2: 3}).halted_within(1, 99)
+    assert FixedHaltingOracle(3).halted_within(5, 3)
+    with pytest.raises(DomainError, match="a dict or an int"):
+        FixedHaltingOracle(lambda n: 3)
 
 
 def test_threshold_stopper_cases():
