@@ -39,7 +39,9 @@ class LoadedChannel:
     with the exact tables and parameters behind it. The header is checked
     when the record is built: ``s0`` is None or a state of the channel,
     ``params`` an object, and ``optimizer`` an object whose keys are
-    ``SETTING_KEYS`` or ``IGNORED_KEYS``, with valid settings."""
+    ``SETTING_KEYS`` or ``IGNORED_KEYS``, with valid settings; the label
+    and every value of both objects must be writable as JSON (a Fraction
+    in ``params`` is written as "p/q")."""
 
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
@@ -61,6 +63,10 @@ class LoadedChannel:
         if unknown:
             raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
         OptimizerSettings(**{k: v for k, v in self.optimizer.items() if k in SETTING_KEYS})
+        _check_json(self.label, "label")
+        for name, block in (("params", _params_out(self.params)), ("optimizer", self.optimizer)):
+            for key, value in block.items():
+                _check_json(value, f"{name}[{key!r}]")
         # a table given as tuples, as loads_channel builds it, is kept as is
         if self.kind == "unifilar" and not isinstance(self.exact_w, tuple):
             given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
@@ -175,6 +181,14 @@ def loads_channel(text: str) -> LoadedChannel:
 def _is_int(value) -> bool:
     """Whether a JSON value is an integer: ``true`` is not 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_json(value, where: str):
+    """Refuse a header value ``dumps_channel`` could not write, naming where it sits."""
+    try:
+        json.dumps(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where} = {value!r} is not a JSON value: {exc}") from exc
 
 
 def _tupled(nested):

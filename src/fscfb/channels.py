@@ -154,12 +154,14 @@ def indecomposability_gaps(
 
     Entry k-1 is max over (s_k, x^k, s_0, s_0') of
     |q^k(s_k|x^k,s_0) - q^k(s_k|x^k,s_0')|, swept exhaustively over every
-    input sequence. One level recursion serves every horizon: the state laws
-    of all x^k, rows s_0, are Q_k = Q_{k-1} @ t_x, and the pairwise maximum
-    is the largest spread max_{s_0} - min_{s_0} over (x^k, s_k). Levels of
-    more than ``_GAP_BLOCK`` floats are swept one input prefix at a time.
-    Refuses horizons whose sweep would touch more than ``budget`` table
-    entries.
+    input sequence. One level recursion serves every horizon. Level k is
+    q[s_0, (x^k, s_k)], the initial state outermost, so one 2-D product
+    steps every row q^{k-1}(.|x^{k-1},s_0) through the kernels of all
+    inputs at once, and the pairwise maximum is the largest spread
+    max_{s_0} - min_{s_0} over the columns. The order of the input
+    sequences never matters to a max. Levels of more than ``_GAP_BLOCK``
+    floats are swept one input prefix at a time. Refuses horizons whose
+    sweep would touch more than ``budget`` table entries.
     """
     if n < 1:
         raise ValidationError(f"horizon must be >= 1, got {n}")
@@ -170,21 +172,24 @@ def indecomposability_gaps(
             f"exhaustive sweep needs {cost} entries, over the budget of {budget}",
             limit=budget,
         )
-    # t[x, s_prev, s_next]: one-step state kernel with outputs summed out
-    t = c.law.sum(axis=2).transpose(1, 0, 2)
+    # kernel[s_prev, (x, s_next)]: the one-step state kernels, outputs summed
+    # out, side by side
+    kernel = c.law.sum(axis=2).reshape(s, x * s)
     gaps = [0.0] * n
 
     def sweep(q, first, last):
         for k in range(first, last):
-            q = (q[:, None] @ t).reshape(-1, s, s)
-            gaps[k] = max(gaps[k], float((q.max(axis=1) - q.min(axis=1)).max()))
+            q = (q.reshape(-1, s) @ kernel).reshape(s, -1)
+            spread = np.maximum.reduce(q, axis=0) - np.minimum.reduce(q, axis=0)
+            gaps[k] = max(gaps[k], float(spread.max()))
         return q
 
     deep = 1  # levels swept per prefix
     while deep < n and x ** (deep + 1) * s * s <= _GAP_BLOCK:
         deep += 1
-    for prefix in sweep(np.eye(s)[None], 0, n - deep):
-        sweep(prefix[None], n - deep, n)
+    top = sweep(np.eye(s), 0, n - deep).reshape(s, -1, s)
+    for j in range(top.shape[1]):
+        sweep(top[:, j], n - deep, n)
     return gaps
 
 

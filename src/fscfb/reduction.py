@@ -9,6 +9,7 @@ stand in for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,16 +172,19 @@ def effective_certificate(values) -> list:
     Entry M-1 (1-based M) is True when |values[m-1] - values[M-1]| < 2^(-M)
     for every m >= M in the given range. One backward pass keeps the
     suffix's largest and smallest value: every such m is within 2^(-M)
-    exactly when both of those are.
+    exactly when both of those are. The rational values are compared as
+    integer numerators over their least common denominator ``den``, where
+    a gap d is below 2^(-M) exactly when d * 2^M < den.
     """
-    values = list(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [num * (den // d) for num, d in ratios]
     out = []
-    hi = lo = values[-1] if values else None
-    for big_m in range(len(values), 0, -1):
-        ref = values[big_m - 1]
+    hi = lo = nums[-1] if nums else None
+    for big_m in range(len(nums), 0, -1):
+        ref = nums[big_m - 1]
         hi, lo = max(hi, ref), min(lo, ref)
-        bound = Fraction(1, 2**big_m)
-        out.append(hi - ref < bound and ref - lo < bound)
+        out.append(max(hi - ref, ref - lo) << big_m < den)
     return out[::-1]
 
 

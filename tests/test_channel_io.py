@@ -300,3 +300,19 @@ def test_a_written_record_reads_back_to_the_same_text(data):
 def test_a_record_checks_its_header_when_built(header):
     with pytest.raises(ValidationError):
         replace(noiseless_z_pair("1/4"), **header)
+
+
+@pytest.mark.parametrize("header, where", [
+    ({"optimizer": {"seed": {1}}}, "optimizer['seed']"),
+    ({"params": {"k": np.int64(3)}}, "params['k']"),
+    ({"params": {"k": [1, {"nested": {2}}]}}, "params['k']"),
+])
+def test_a_record_refuses_a_header_value_it_could_not_write(header, where):
+    with pytest.raises(ValidationError, match=r"not a JSON value") as err:
+        replace(noiseless_z_pair("1/4"), **header)
+    assert str(err.value).startswith(where)
+
+
+def test_a_record_writes_a_fraction_param_as_a_string():
+    g = replace(noiseless_z_pair("1/4"), params={"k": Fraction(1, 3)})
+    assert loads_channel(dumps_channel(g)).params == {"k": "1/3"}

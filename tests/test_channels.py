@@ -11,6 +11,7 @@ from fscfb import (
     UnifilarChannel,
     ValidationError,
     compose_unifilar,
+    extend_states,
     indecomposability_gap,
     indecomposability_gaps,
     mixing_pair,
@@ -208,9 +209,15 @@ def test_indecomposability_budget():
     assert err.value.limit == 100
 
 
-@pytest.mark.parametrize("block", [fscfb.channels._GAP_BLOCK, 64], ids=["one-pass", "prefixes"])
+# a 64-float block sends every level past the first few through the prefix
+# sweep; a 1-float block leaves one level per prefix (deep = 1), so every
+# level after the first goes prefix by prefix
+GAP_BLOCKS = pytest.mark.parametrize(
+    "block", [fscfb.channels._GAP_BLOCK, 64, 1], ids=["one-pass", "prefixes", "one-level-prefixes"])
+
+
+@GAP_BLOCKS
 def test_indecomposability_gaps_equal_the_per_sequence_loop(rng, monkeypatch, block):
-    # a 64-float block sends every level past the first few through the prefix sweep
     monkeypatch.setattr(fscfb.channels, "_GAP_BLOCK", block)
     for _ in range(12):
         x_size = int(rng.integers(1, 4))
@@ -220,6 +227,24 @@ def test_indecomposability_gaps_equal_the_per_sequence_loop(rng, monkeypatch, bl
         gaps = indecomposability_gaps(c, n)
         assert gaps == [brute_indecomp_gap(c, k) for k in range(1, n + 1)]
         assert indecomposability_gap(c, n) == gaps[-1]
+
+
+@GAP_BLOCKS
+@pytest.mark.parametrize("s_size, x_size", [(3, 1), (1, 3)], ids=["one-input", "one-state"])
+def test_indecomposability_gaps_on_a_single_input_or_state(rng, monkeypatch, block, s_size, x_size):
+    monkeypatch.setattr(fscfb.channels, "_GAP_BLOCK", block)
+    c = rand_fsc(rng, s_size=s_size, x_size=x_size, y_size=2)
+    gaps = indecomposability_gaps(c, 10)
+    assert gaps == [brute_indecomp_gap(c, k) for k in range(1, 11)]
+
+
+def test_indecomposability_gaps_on_the_extended_mixing_channel(monkeypatch):
+    # the shape of the benchmark's indecomp op: 6 states, binary input, n = 12
+    c = extend_states(mixing_pair("1/4", "1/8"), 6).as_general()
+    brute = [brute_indecomp_gap(c, k) for k in range(1, 13)]
+    for block in (fscfb.channels._GAP_BLOCK, 64, 1):
+        monkeypatch.setattr(fscfb.channels, "_GAP_BLOCK", block)
+        assert indecomposability_gaps(c, 12) == brute
 
 
 @pytest.mark.parametrize("n", [0, -1])
