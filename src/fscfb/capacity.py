@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,19 +96,25 @@ def _logsumexp(t, out=None):
     return np.add(np.log(total, out=total), top, out=out)
 
 
-def _normalize(t):
+def _normalize(t, free=None):
     """Shift every column of ``t`` in place so that sum_x exp t[x, h] = 1;
     return the shifts. The column max comes off before the log of the sum:
     near -1.8e15 the ulp is 0.25, so t - (top + ln total) would round a
-    column off the simplex."""
-    top = np.maximum.reduce(t, axis=0)
-    t -= top
+    column off the simplex. The max and the log-sum are written into the
+    first two rows of ``free``, a table as wide as ``t`` that nothing reads
+    until the shifts are used, and the shifts into its first row."""
+    top, lse = (None, None) if free is None else free[:2]
     if len(t) == 2:
-        lse = np.logaddexp(t[0], t[1])
+        t0, t1 = t
+        top = np.maximum(t0, t1, out=top)
+        t -= top
+        lse = np.logaddexp(t0, t1, out=lse)
     else:
-        lse = np.log(np.add.reduce(np.exp(t), axis=0))
+        top = np.maximum.reduce(t, axis=0, out=top)
+        t -= top
+        lse = np.log(np.add.reduce(np.exp(t), axis=0), out=lse)
     t -= lse
-    return top + lse
+    return np.add(top, lse, out=top)
 
 
 class _Lattice:
@@ -134,39 +141,61 @@ class _Lattice:
     earlier steps are constant in x_n, so they cancel in the softmax and
     shift the max alike: the lattice iterates are those of the update over
     whole (x^N, y^N) histories.
+
+    The lattice allocates every table its passes write once, so a pass
+    allocates nothing. Theta-shaped, in one block: ``iterates``, three
+    tables that ``_ascend`` rotates through as its iterate, its update and
+    its trial; ``pi``, the policy exp(theta) of the last forward, which
+    ``_ascend`` also uses as scratch until the next one; ``joint``; and
+    ``move``, the secant step. The column blocks of each level of the
+    iterates and ``pi`` are views bound here (``_blocks``), and those of
+    ``joint`` sit in ``carry``; any other theta-shaped array, such as a
+    caller's theta, is sliced anew on each pass, with the same values.
+    Beside them: ``alpha``, each level's
+    P(s_n, y^n) at that level's columns; ``q``, Q(y^N); ``zq``, -ln Q over
+    a row of ones; and ``scratch``, one contiguous buffer that holds in turn
+    each level's product pi_n alpha_n, which the transition product reads
+    as (|X||S|, |Y|^n), and the backward's gains. The tables that only
+    ``backward`` uses are made at its first call (``_fold``).
     """
 
     def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
         _check_cell(u, s0, horizon)
         s, x, y = u.w.shape
         self.shape, self.s0, self.horizon, self.y_size = u.w.shape, s0, horizon, y
-        t = np.zeros((x, s, s, y))
-        sp, xi, yi = np.indices(u.w.shape)
-        t[xi, sp, u.f, yi] = u.w
-        self.t = t.reshape(x * s, s * y)
+        lands = u.f[:, :, None] == np.arange(s)[:, None]  # [s, x, s', y]: f(s, x, y) = s'
+        self.t = (lands * u.w[:, :, None]).swapaxes(0, 1).reshape(x * s, s * y)
         self.tq = u.w.transpose(1, 0, 2).reshape(x * s, y)
-        self.transfer = [step.T.copy() for step in [self.t] * (horizon - 1) + [self.tq]]
-        self.root = np.eye(s)[s0]
-        offsets = np.concatenate(([0], np.cumsum(s * y ** np.arange(horizon))))
-        self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        self.theta_shape = (x, int(offsets[-1]))
-        self.joint = np.empty(self.theta_shape)
+        widths = [s * y**n for n in range(horizon)]  # the nodes of each level
+        offsets = list(accumulate(widths, initial=0))
+        self.steps = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        self.theta_shape = (x, offsets[-1])
+        *self.iterates, self.pi, self.joint, self.move = np.empty((6,) + self.theta_shape)
+        self._bound = {id(a): [a[:, c] for c in self.steps] for a in (*self.iterates, self.pi)}
         # sum_y W ln W per (x, s), and laid out like theta: E ln Wseq = <joint, wlnw>
-        wlnw = (u.w * np.log(np.where(u.w > 0, u.w, 1.0))).sum(axis=2).T
-        self.wlnw = np.concatenate([np.repeat(wlnw, y**n, axis=1) for n in range(horizon)], axis=1)
-        # ``backward`` multiplies [t | sum_y W ln W] by step n's Z and V, stacked
-        # over a row of ones, so that one product gives both gains of step
-        # n - 1: ``zv[n]`` holds them split by the latest output, with
-        # ``zv_rows[n]`` the flat views it writes (``zv[0]`` is the root's),
-        # and ``zq`` holds Z_N = V_N = -ln Q(y^N) the same way.
-        wlnw = wlnw.reshape(x * s, 1)
-        self.tzv = np.concatenate((self.t, wlnw), axis=1)
-        self.tqz = np.concatenate((self.tq, wlnw), axis=1)
-        self.zv = [np.empty((2, s))] + [np.ones((2, s * y + 1, y**n)) for n in range(horizon - 1)]
-        self.zv_rows = [tuple(self.zv[0])] + [(b[0, :-1].reshape(-1), b[1, :-1].reshape(-1))
-                                              for b in self.zv[1:]]
+        wlnw = np.add.reduce(u.w * np.log(np.where(u.w > 0, u.w, 1.0)), axis=2).T
+        self.wlnw = np.concatenate([wlnw] * horizon, axis=1).repeat(
+            [y**n for n in range(horizon) for _ in range(s)], axis=1)
+        # the larger of the last level's product (or gains) and the pair of
+        # gains of the level below it
+        self.scratch = np.empty(x * max(widths[-1], 2 * widths[-2] if horizon > 1 else 0))
+        self.alpha = np.zeros(offsets[-1])
+        self.alpha[s0] = 1.0
+        self.root = self.alpha[:s]
+        self.q = np.empty(y**horizon)
         self.zq = np.ones((y + 1, y ** (horizon - 1)))
         self.z_out = self.zq[:-1].reshape(-1)
+        # per level: alpha_n, the product pi_n alpha_n in scratch and as
+        # (|X||S|, |Y|^n), the level's block of joint, and the transition
+        # product that writes alpha_{n+1} (T^T), or Q (tq^T) at the last level
+        transfers = [self.t.T.copy()] * (horizon - 1) + [self.tq.T.copy()]
+        targets = [self.alpha[c].reshape(s * y, -1) for c in self.steps[1:]]
+        targets.append(self.q.reshape(y, -1))
+        self.carry = []
+        for cols, width, transfer, target in zip(self.steps, widths, transfers, targets):
+            prod = self.scratch[:x * width].reshape(x, -1)
+            self.carry.append((self.alpha[cols], prod, prod.reshape(x * s, -1),
+                               self.joint[:, cols], transfer, target))
 
     @cached_property
     def reachable(self):
@@ -179,27 +208,66 @@ class _Lattice:
             node = (edge.T @ node.reshape(s, -1) > 0).ravel()
         return np.count_nonzero(node.reshape(s, -1).any(axis=0))
 
+    @cached_property
+    def _fold(self):
+        """The tables only ``backward`` uses, made at its first call.
+
+        ``backward`` multiplies [t | sum_y W ln W] by level n's Z and V,
+        split by the latest output and stacked over a row of ones (``zv``),
+        so that one product writes both gains of level n - 1, sum_y W
+        [ln W + Z_n] and sum_y W [ln W + V_n], into scratch (``below``); the
+        top level's gains are [tq | sum_y W ln W] times ``zq``. Returns the
+        top product's target and, per level, (z, v, gz, gv, the rows of gv,
+        zv, below), with the gains as (|X|, columns)."""
+        s, x, y = self.shape
+        wlnw = self.wlnw[:, :s].reshape(x * s, 1)  # level 0 holds sum_y W ln W once
+        self.tzv = np.concatenate((self.t, wlnw), axis=1)
+        self.tqz = np.concatenate((self.tq, wlnw), axis=1)
+        widths = [c.stop - c.start for c in self.steps]
+        zv = [np.empty((2, s))] + [np.ones((2, s * y + 1, w // s)) for w in widths[:-1]]
+        gains = []
+        for width in widths[:-1]:
+            g = self.scratch[:2 * x * width].reshape(2, x * s, -1)
+            gains.append((g, *g.reshape(2, x, -1)))
+        g = self.scratch[:x * widths[-1]].reshape(x * s, -1)
+        gains.append((g, g.reshape(x, -1), g.reshape(x, -1)))
+        folds = []
+        for n, (b, (_, gz, gv)) in enumerate(zip(zv, gains)):
+            z, v = b if n == 0 else b[:, :-1].reshape(2, -1)  # the rows of ones left out
+            folds.append((z, v, gz, gv, tuple(gv), b, gains[n - 1][0] if n else None))
+        return gains[-1][0], folds
+
+    def _blocks(self, table):
+        """The column blocks of ``table``, one per level: bound once for the
+        lattice's own tables, sliced anew for any other theta-shaped array."""
+        blocks = self._bound.get(id(table))
+        return [table[:, c] for c in self.steps] if blocks is None else blocks
+
     def rate(self, pi):
         """The rate of the policy table ``pi`` (probabilities, laid out like
-        theta), Q(y^N), and ln Q with 0 where Q = 0. The joint law
-        P(s_{n-1}, y^{n-1}) pi_n(x | s_{n-1}, y^{n-1}) of each entry, the
-        secant step's Fisher weight, is kept in ``self.joint``."""
-        s, x, _ = self.shape
-        alpha = self.root
-        for cols, transfer in zip(self.steps, self.transfer):
-            joint = np.multiply(pi[:, cols], alpha, out=self.joint[:, cols])
-            alpha = (transfer @ joint.reshape(x * s, -1)).ravel()
-        lnq = np.log(alpha + (alpha == 0))
+        theta) and Q(y^N); Z_N = -ln Q, with 0 where Q = 0, is kept for
+        ``backward``. The joint law P(s_{n-1}, y^{n-1}) pi_n(x | s_{n-1},
+        y^{n-1}) of each entry, the secant step's Fisher weight, is kept in
+        ``self.joint``."""
+        for pi_n, (alpha, prod, stacked, joint_n, transfer, target) in zip(
+                self._blocks(pi), self.carry):
+            np.multiply(pi_n, alpha, out=prod)
+            np.copyto(joint_n, prod)
+            np.matmul(transfer, stacked, out=target)
+        q, z = self.q, self.z_out
+        self.support = np.count_nonzero(q)
+        np.log(q if self.support == q.size else q + (q == 0), out=z)
+        np.negative(z, out=z)
         expected = float(np.vdot(self.joint, self.wlnw))  # E ln Wseq
-        return (expected - float(alpha @ lnq)) / (self.horizon * _LN2), alpha, lnq
+        return (expected + float(np.dot(q, z))) / (self.horizon * _LN2), q
 
     def forward(self, theta):
         """The rate of the policy exp(theta), kept in ``self.pi``, and whether
         the linearized rate the bound rests on is exact."""
-        self.theta, self.pi = theta, np.exp(theta)
-        value, q, lnq = self.rate(self.pi)
-        np.negative(lnq, out=self.z_out)
-        return value, bool(np.count_nonzero(q) == self.reachable)
+        self.theta = theta
+        value, q = self.rate(np.exp(theta, out=self.pi))
+        # Q > 0 only where a path reaches, so a Q > 0 everywhere needs no count
+        return value, self.support == q.size or self.support == self.reachable
 
     def policy(self, theta):
         """The per-step tables pi_n[s, y^{n-1}, x] of the log-policy ``theta``."""
@@ -217,19 +285,24 @@ class _Lattice:
         by at least ``admit`` violates the optimality (KKT) conditions by
         that much; its update entry is written as ln 1e-3, not -inf, and the
         column is left unnormalized."""
-        x = self.shape[1]
-        gz = gv = (self.tqz @ self.zq).reshape(x, -1)  # sum_y W [ln W + Z_N], and with V_N
+        binary = self.shape[1] == 2
+        top, folds = self._fold
+        theta, out = self._blocks(self.theta), self._blocks(out)
+        np.matmul(self.tqz, self.zq, out=top)  # sum_y W [ln W + Z_N], and with V_N
         for n in range(self.horizon - 1, -1, -1):
-            cols, (z, v) = self.steps[n], self.zv_rows[n]
-            ez = out[:, cols]
-            np.add(gz, self.theta[:, cols], out=ez)
+            z, v, gz, gv, gv_rows, zv, below = folds[n]
+            ez = out[n]
+            np.add(gz, theta[n], out=ez)
             _logsumexp(ez, out=z)
             np.subtract(ez, z, out=ez)
             if admit is not None:
                 ez[np.isneginf(ez) & (gz >= z + admit)] = _LN_FLOOR
-            np.maximum.reduce(gv, axis=0, out=v)
+            if binary:  # the reduction's values in one two-row call
+                np.maximum(*gv_rows, out=v)
+            else:
+                np.maximum.reduce(gv, axis=0, out=v)
             if n:
-                gz, gv = (self.tzv @ self.zv[n]).reshape(2, x, -1)
+                np.matmul(self.tzv, zv, out=below)
         return float(v[self.s0]) / (self.horizon * _LN2)
 
 
@@ -269,14 +342,14 @@ def _secant(gram):
     at most ``_MEMORY`` square and positive definite, so Gaussian
     elimination without pivoting, in plain floats, solves it."""
     k = len(gram) - 1
-    live = [gram[i][i] >= _TINY for i in range(1, k + 1)]
-    rows = []  # [A | b], with a row and column of the identity for each dead dg
-    for i, row in enumerate(gram[1:]):
-        if live[i]:
-            rows.append([a if ok else 0.0 for a, ok in zip(row[1:], live)] + row[:1])
+    rows = [row[1:] + row[:1] for row in gram[1:]]  # [A | b]
+    for i in range(k):
+        if rows[i][i] >= _TINY:
             rows[i][i] *= 1.0 + _RIDGE
-        else:
-            rows.append([float(i == j) for j in range(k)] + [0.0])
+        else:  # a row and column of the identity for a dead dg
+            for row in rows:
+                row[i] = 0.0
+            rows[i] = [float(i == j) for j in range(k)] + [0.0]
     for i, pivot in enumerate(rows):
         for row in rows[i + 1:]:
             f = row[i] / pivot[i]
@@ -296,6 +369,8 @@ def _drop_underflows(theta, pi):
     """Set to -inf every finite entry of ``theta`` whose probability
     ``pi`` = exp(theta) underflows to 0, which leaves the policy as it is;
     return their count."""
+    if np.count_nonzero(pi) == pi.size:  # no probability is 0
+        return 0
     under = pi == 0.0
     under &= np.isfinite(theta)
     count = int(np.count_nonzero(under))
@@ -357,22 +432,33 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     deterministic policy, dropped inputs included, so it holds whatever the
     support; it starts at log2|Y|, which bounds every rate. Rounding can put
     it an ulp below the rate; it is reported as at least that. A change of
-    face can lower the rate, so the best policy seen is returned. Returns
+    face can lower the rate, so the best policy seen is returned.
+
+    The iterate, the update and the trial rotate through the lattice's
+    ``iterates``, so an update allocates nothing: a table is reused once
+    nothing reads it, the best policy is copied out at a change of face,
+    and the caller's ``theta`` is only read. Returns
     (theta, value, upper, counts): the counts of updates, of dropped and
     re-admitted inputs, of accepted trials with a secant correction and of
     rejected trials.
     """
+    start = theta
+    theta, update, trial = model.iterates
+    np.copyto(theta, start)
     value, exact = model.forward(theta)
-    best = value, theta
-    update = np.empty_like(theta)
+    best, saved = (value, start), np.empty(theta.shape)  # the best policy seen, copied to saved
     upper = float(np.log2(model.y_size))
     kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs: no epoch drops them
+    finite = np.empty(theta.shape, dtype=bool)
     omega = 1.0
     # g at the current iterate, then the dg_i and the dx_i, in rings of _MEMORY
     history = np.zeros((1 + 2 * _MEMORY,) + theta.shape)
     step, dgs, dxs = history[0], history[1:1 + _MEMORY], history[1 + _MEMORY:]
     flat = history.reshape(len(history), -1)
-    weight = model.joint.reshape(-1)
+    weight, move_flat = model.joint.reshape(-1), model.move.reshape(-1)
+    # pi is rewritten by the next forward, so until then it can take a
+    # renormalization's column max and log-sum; one input's table is too narrow
+    free = model.pi if len(theta) > 1 else None
     last_step = np.empty(theta.shape)
     # pairs recorded since the history was cleared; once pending, the last
     # move's dx sits in its ring slot and its g in last_step, waiting for dg
@@ -401,14 +487,17 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             pruned += n_drop
             kept |= back
             update[drop] = -np.inf
-            _normalize(update)
-            best = max(best, (value, theta), key=lambda b: b[0])
+            _normalize(update, free)
+            if value > best[0]:  # ties keep the earlier policy
+                np.copyto(saved, theta)
+                best = value, saved
             pairs, pending = 0, False
             if n_back:
                 omega = 1.0
         else:
+            np.isfinite(np.add(theta, update, out=trial), out=finite)  # trial is free here
             step.fill(0.0)  # g is 0 on dropped inputs
-            np.subtract(update, theta, out=step, where=np.isfinite(theta + update))
+            np.subtract(update, theta, out=step, where=finite)
             if pending:  # the last move's pair is complete
                 np.subtract(step, last_step, out=dgs[pairs % _MEMORY])
                 pairs += 1
@@ -424,24 +513,30 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             else:
                 pad = [0.0] * (_MEMORY - len(gamma))
                 coef = [omega, *(-omega * c for c in gamma), *pad, *(-c for c in gamma), *pad]
-                move = np.dot(coef, flat).reshape(theta.shape)
-                trial = theta + move
-                shift = _normalize(trial)
+                np.dot(coef, flat, out=move_flat)
+                np.add(theta, model.move, out=trial)
+                # dx before the forward overwrites the shifts; a rejected
+                # trial's dx is not used: the history restarts, and its slot
+                # is written again before a fit gives it a coefficient
+                np.subtract(model.move, _normalize(trial, free), out=dx)
                 trial_value, trial_exact = model.forward(trial)
                 if trial_value >= value:
                     accelerated += any(gamma)
                     pruned += _drop_underflows(trial, model.pi)
-                    np.subtract(move, shift, out=dx)
-                    theta, value, exact = trial, trial_value, trial_exact
+                    theta, trial = trial, theta
+                    value, exact = trial_value, trial_exact
                     omega = min(1.5 * omega, _OMEGA_MAX)
                     continue
                 rejected += 1
                 omega, pairs = 1.0, 0
                 np.copyto(dxs[0], step)
-        theta, update = update, np.empty_like(update)
+        theta, update = update, theta
         value, exact = model.forward(theta)
         pruned += _drop_underflows(theta, model.pi)
-    value, theta = max(best, (value, theta), key=lambda b: b[0])
+    if value > best[0]:
+        np.copyto(saved, theta)
+        best = value, saved
+    value, theta = best
     counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted,
               "accelerated": accelerated, "rejected": rejected}
     return theta, value, max(upper, value), counts

@@ -503,19 +503,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rows, diagnostics, digest = args.handler(args)
+        report = {
+            "command": ["fscfb"] + argv,
+            "input_digest": digest,
+            "rows": rows,
+            "diagnostics": diagnostics,
+        }
+        text = render_report(report, args.format)
+        # before stdout, so a report that cannot be written prints nothing
+        if args.writes_report and args.out:
+            Path(args.out).write_text(text)
     except (FscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": ["fscfb"] + argv,
-        "input_digest": digest,
-        "rows": rows,
-        "diagnostics": diagnostics,
-    }
-    text = render_report(report, args.format)
     sys.stdout.write(text)
-    if args.writes_report and args.out:
-        Path(args.out).write_text(text)
     print(f"wall_clock_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return 0
 

@@ -360,6 +360,39 @@ def test_lattice_table_is_the_composed_law(rng):
         assert np.array_equal(lattice.t, want)
 
 
+@pytest.mark.parametrize("x_size", [2, 3])
+def test_lattice_tables_and_foreign_arrays_give_the_same_passes(rng, x_size):
+    """The lattice binds the level views of its own tables once and slices
+    any other theta-shaped array anew on each pass; the two give the same
+    bits, at |X| = 2 (two-row ufuncs) and at |X| = 3 (the reductions)."""
+    for case in range(16):
+        s, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        u = UnifilarChannel(stochastic(rng, (s, x_size, 2), zeros=case % 2 == 1),
+                            rng.integers(0, s, size=(s, x_size, 2)))
+        s0 = int(rng.integers(0, s))
+        lattice = _Lattice(u, s0, n)
+        with np.errstate(divide="ignore"):
+            theta = np.log(stochastic(rng, lattice.theta_shape[::-1], zeros=True)).T.copy()
+        own, own_out = lattice.iterates[:2]
+        np.copyto(own, theta)
+        for admit in (None, 0.0, 0.05):
+            passes = []
+            for table, out in ((own, own_out), (theta, np.empty(lattice.theta_shape))):
+                value, exact = lattice.forward(table)
+                joint = lattice.joint.copy()
+                bound = lattice.backward(out, admit)
+                passes.append((value, exact, joint.tobytes(), bound, out.tobytes()))
+            assert passes[0] == passes[1]
+        pi = np.exp(theta)
+        foreign = lattice.rate(pi)[0]
+        np.copyto(lattice.pi, pi)
+        assert lattice.rate(lattice.pi)[0] == foreign
+        # iid_rate passes a broadcast view, which is never bound
+        dist = stochastic(rng, (x_size,), zeros=False)
+        np.copyto(lattice.pi, dist[:, None])
+        assert iid_rate(u, s0, dist, n) == lattice.rate(lattice.pi)[0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_optimize_noiseless_state(n):
     u = noiseless_z_pair(0.25).channel
@@ -600,6 +633,19 @@ def test_face_restriction_never_lowers_the_reported_rate():
                if pruned[k] > pruned[k - 1] and iterates[k] < values[k - 1] - 1e-9]
     assert lowered
     assert all(values[k] == values[k - 1] for k in lowered)
+
+
+def test_rotated_tables_leave_the_best_policy_as_it_was_seen():
+    """The ascent reuses the lattice's tables for its iterates, so the best
+    policy is copied out at a change of face. At each cap around the
+    trapdoor's first change of face at N = 10, some of which return a policy
+    seen before it, the returned policy's rate is the returned value, bit
+    for bit."""
+    for cap in range(29, 36):
+        model = _Lattice(trapdoor(), 0, 10)
+        theta, value, _, _ = _ascend(model, np.full(model.theta_shape, -np.log(2)),
+                                     OptimizerSettings(max_iters=cap))
+        assert value == _Lattice(trapdoor(), 0, 10).forward(theta)[0]
 
 
 @pytest.mark.parametrize("n, capped", [(7, 0.653809139317), (10, 0.665947907681)])

@@ -318,6 +318,21 @@ def test_lambda_seq_never(capsys):
     assert [r["lambda"] for r in rows] == ["1/2", "1/4", "1/8", "1/16"]
 
 
+def test_report_that_cannot_be_written_fails_cleanly(tmp_path, capsys):
+    """A report --out path in a missing directory exits 2 with an error, as
+    gallery's does, and prints no report; a writable one gets the stdout text."""
+    missing = tmp_path / "missing" / "r.txt"
+    for argv in (("lambda-seq", "--mock", "never", "--input", "1"),
+                 ("gallery", "noiseless-z", "--eps", "1/4")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    written = tmp_path / "r.txt"
+    code, out, _ = run_cli(capsys, "lambda-seq", "--mock", "never", "--input", "1",
+                           "--out", str(written))
+    assert code == 0 and written.read_text() == out
+
+
 def test_lambda_seq_program(tmp_path, capsys):
     prog = tmp_path / "parity.cm"
     prog.write_text(PARITY)
