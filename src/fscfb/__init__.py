@@ -9,11 +9,9 @@ double sequences.
 from .capacity import (
     CapacityEstimate,
     DmcCapacityResult,
-    FiniteNBracket,
     OptimizerSettings,
     binary_entropy,
     dmc_capacity,
-    finite_n_bracket,
     iid_rate,
     optimize_rate,
     z_channel_closed_form,

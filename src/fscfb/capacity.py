@@ -13,7 +13,7 @@ capacity of a memoryless channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
 
@@ -551,12 +551,9 @@ class CapacityEstimate:
     sum_k y_k |Y|^(k-1), the first output the least significant digit."""
 
     value: float
-    horizon: int
-    initial_state: int | None
-    state_mode: str  # "fixed" | "min" | "max"
-    policy: tuple | None = None
-    diagnostics: dict = field(default_factory=dict)
-    upper: float = np.inf
+    upper: float
+    policy: tuple
+    diagnostics: dict
 
 
 def optimize_rate(
@@ -581,48 +578,10 @@ def optimize_rate(
     theta, value, upper, counts = _ascend(model, theta, cfg)
     return CapacityEstimate(
         value=value,
-        horizon=horizon,
-        initial_state=s0,
-        state_mode="fixed",
+        upper=upper,
         policy=model.policy(theta),
         diagnostics={**counts, "converged": upper - value < cfg.tol},
-        upper=upper,
     )
-
-
-@dataclass(frozen=True)
-class FiniteNBracket:
-    """Per-initial-state estimates at one horizon plus their min and max.
-
-    The min of the per-state maxima upper-bounds the max-min lower-capacity
-    quantity at this horizon; it is a bracket, not that max-min itself.
-    """
-
-    horizon: int
-    per_state: tuple
-    low: CapacityEstimate
-    high: CapacityEstimate
-    note: str = "min over initial states of per-state maxima; not the joint max-min"
-
-
-def finite_n_bracket(
-    u: UnifilarChannel, horizon: int, cfg: OptimizerSettings | None = None
-) -> FiniteNBracket:
-    """Run the estimator once per initial state and report the spread.
-
-    The min (max) over states of the optima lies between the min (max) of
-    the per-state values and the min (max) of the per-state upper bounds.
-    """
-    cfg = cfg or OptimizerSettings()
-    per_state = tuple(optimize_rate(u, s0, horizon, cfg) for s0 in range(u.s_size))
-    uppers = [e.upper for e in per_state]
-
-    def extreme(pick, mode):  # ties go to the lowest state
-        est, upper = pick(per_state, key=lambda e: e.value), pick(uppers)
-        diagnostics = {**est.diagnostics, "converged": upper - est.value < cfg.tol}
-        return replace(est, state_mode=mode, upper=upper, diagnostics=diagnostics)
-
-    return FiniteNBracket(horizon, per_state, extreme(min, "min"), extreme(max, "max"))
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,15 @@ SETTING_KEYS = tuple(setting.name for setting in fields(OptimizerSettings))
 # read, for files written for the old multi-start optimizer, and ignored
 # with a warning: the solver is deterministic and runs once
 IGNORED_KEYS = ("restarts", "seed")
+_KINDS = {"unifilar": UnifilarChannel, "general": FiniteStateChannel}
 
 
 @dataclass
 class LoadedChannel:
     """A channel with its file header: a loaded file, or a gallery channel
     with the exact tables and parameters behind it. The header is checked
-    when the record is built: ``s0`` is None or a state of the channel,
+    when the record is built: ``kind`` names the channel's class, ``s0`` is
+    None or a state of the channel,
     ``params`` an object, and ``optimizer`` an object whose keys are
     ``SETTING_KEYS`` or ``IGNORED_KEYS``, with valid settings; the label
     and every value of both objects must be writable as JSON (a Fraction
@@ -53,6 +55,9 @@ class LoadedChannel:
     digest: str | None = None       # content_digest of the file it was loaded from
 
     def __post_init__(self):
+        if not isinstance(self.channel, _KINDS.get(self.kind, ())):
+            raise ValidationError(
+                f"kind {self.kind!r} does not match a {type(self.channel).__name__}")
         if self.s0 is not None and not (_is_int(self.s0) and 0 <= self.s0 < self.channel.s_size):
             raise ValidationError(f"s0 = {self.s0!r} outside 0..{self.channel.s_size - 1}")
         if not isinstance(self.params, dict):

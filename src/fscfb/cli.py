@@ -24,7 +24,6 @@ from . import channel_io
 from .capacity import (
     OptimizerSettings,
     dmc_capacity,
-    finite_n_bracket,
     iid_rate,
     optimize_rate,
     z_channel_closed_form,
@@ -54,6 +53,9 @@ from .reduction import (
 )
 
 GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "extend-states")
+# capacity --all-states: the min (max) row brackets the min (max) over initial
+# states of the horizon-N optima; the min of those upper-bounds the joint max-min
+_ALL_STATES_NOTE = "min over initial states of per-state maxima; not the joint max-min"
 
 
 def _digest_params(text: str) -> str:
@@ -170,38 +172,44 @@ def cmd_validate(args):
     return rows, {}, loaded.digest
 
 
-def _estimate_row(n, s0_label, est):
-    d = est.diagnostics
+def _check_horizon(n):
+    """Refuse a horizon below 1, also where no cell runs to refuse it."""
+    if n < 1:
+        raise ValidationError(f"horizon must be >= 1, got {n}")
+
+
+def _estimate_row(n, s0_label, est, upper, tol):
+    """A capacity row: the rate of ``est`` and its gap to ``upper``."""
+    gap = upper - est.value
     return {
         "n": n,
         "s0": s0_label,
         "rate": est.value,
-        "converged": d["converged"],
-        "iterations": d["iterations"],
-        "gap": est.upper - est.value,
+        "converged": gap < tol,
+        "iterations": est.diagnostics["iterations"],
+        "gap": gap,
     }
 
 
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
     cfg = _resolve_settings(args, loaded.optimizer)
+    _check_horizon(args.n)
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     s0 = _given(args.s0, loaded.s0)
     all_states = args.all_states or s0 is None
+    states = range(u.s_size) if all_states else [s0]
     rows = []
-    diags = {}
     for n in horizons:
+        ests = [optimize_rate(u, s, n, cfg) for s in states]
+        rows += [_estimate_row(n, str(s), est, est.upper, cfg.tol) for s, est in zip(states, ests)]
         if all_states:
-            bracket = finite_n_bracket(u, n, cfg)
-            for est in bracket.per_state:
-                rows.append(_estimate_row(n, str(est.initial_state), est))
-            rows.append(_estimate_row(n, "min", bracket.low))
-            rows.append(_estimate_row(n, "max", bracket.high))
-            diags["note"] = bracket.note
-        else:
-            est = optimize_rate(u, s0, n, cfg)
-            rows.append(_estimate_row(n, str(s0), est))
+            uppers = [est.upper for est in ests]
+            for pick, label in ((min, "min"), (max, "max")):  # ties go to the lowest state
+                est = pick(ests, key=lambda e: e.value)
+                rows.append(_estimate_row(n, label, est, pick(uppers), cfg.tol))
+    diags = {"note": _ALL_STATES_NOTE} if all_states else {}
     diags["optimizer"] = f"max_iters={cfg.max_iters} tol={cfg.tol:g}"
     return rows, diags, loaded.digest
 
@@ -291,6 +299,7 @@ def cmd_discontinuity_demo(args):
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
+    _check_horizon(args.n)
     rows = [
         {
             "k": "inf",

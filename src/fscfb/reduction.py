@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, OracleError
+from .errors import DomainError, OracleError, ResourceLimitError
+
+_BIT_BUDGET = 10**7  # denominator bits, m_max (m_max + 1) / 2, a sequence may hold
 
 
 class FixedHaltingOracle:
@@ -159,8 +161,16 @@ def lambda_sequence(oracle, n: int, m_max: int) -> list:
 
     Answers are monotone in m, so the search at m_max finds l = min(h, m_max)
     for the first halting step h, and lambda(n, m) = 2^(-min(l, m)). A search
-    per m would take O(m_max^2) machine steps.
+    per m would take O(m_max^2) machine steps. The values are exact, so
+    their denominators hold m_max (m_max + 1) / 2 bits; more than
+    ``_BIT_BUDGET`` is refused before the oracle is asked.
     """
+    bits = m_max * (m_max + 1) // 2
+    if bits > _BIT_BUDGET:
+        raise ResourceLimitError(
+            f"m_max = {m_max} needs {bits} denominator bits, over the budget of {_BIT_BUDGET}",
+            limit=_BIT_BUDGET,
+        )
     last = lambda_double_sequence(oracle, n, m_max)
     halt = last.denominator.bit_length() - 1
     return [Fraction(1, 2**m) for m in range(1, halt)] + [last] * (m_max - halt + 1)

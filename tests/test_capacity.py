@@ -1,4 +1,5 @@
 import functools
+import json
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fscfb import (
     DomainError,
+    LoadedChannel,
     OptimizerSettings,
     ResourceLimitError,
     ShapeError,
@@ -16,8 +18,8 @@ from fscfb import (
     ValidationError,
     compose_unifilar,
     dmc_capacity,
+    dumps_channel,
     extend_states,
-    finite_n_bracket,
     iid_rate,
     inverse_k_pair,
     mixing_pair,
@@ -26,6 +28,7 @@ from fscfb import (
     z_channel_closed_form,
 )
 from fscfb import capacity
+from fscfb.cli import main
 from fscfb.capacity import _ascend, _Lattice, _secant
 from conftest import brute_directed_info, brute_joint, rand_policy, rand_unifilar
 from oracle import (
@@ -989,31 +992,42 @@ def test_evaluate_rate_with_underflowing_probabilities():
     assert rate == pytest.approx(evaluate_rate(u, 0, exact), abs=1e-12)
 
 
-def test_finite_n_bracket_frozen_family():
-    u = noiseless_z_pair(0.25).channel
-    br = finite_n_bracket(u, 2, FAST)
-    values = {est.initial_state: est.value for est in br.per_state}
-    assert values[0] == pytest.approx(1.0, abs=1e-6)
-    assert values[1] == pytest.approx(C_Z_QUARTER, abs=1e-6)
-    assert br.low.value <= br.high.value
-    assert br.low.state_mode == "min" and br.high.state_mode == "max"
+def all_states_rows(record, n, tmp_path, capsys):
+    """The rows of ``capacity --all-states`` at horizon n, by their s0 label."""
+    path = tmp_path / "channel.json"
+    path.write_text(dumps_channel(record))
+    assert main(["capacity", str(path), "--n", str(n), "--all-states", "--format", "json"]) == 0
+    return {row["s0"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+
+
+def test_finite_n_bracket_frozen_family(tmp_path, capsys):
+    record = noiseless_z_pair(0.25)
+    rows = all_states_rows(record, 2, tmp_path, capsys)
+    assert list(rows) == ["0", "1", "min", "max"]
+    low, high = rows["min"], rows["max"]
+    assert rows["0"]["rate"] == pytest.approx(1.0, abs=1e-6)
+    assert rows["1"]["rate"] == pytest.approx(C_Z_QUARTER, abs=1e-6)
+    assert low["rate"] <= high["rate"]
     # the min and max over states of the optima lie in these brackets
-    uppers = [est.upper for est in br.per_state]
-    assert (br.low.upper, br.high.upper) == (min(uppers), max(uppers))
-    for est in (br.low, br.high):
-        assert est.diagnostics["converged"] == (est.upper - est.value < FAST.tol)
+    ests = [optimize_rate(record.channel, s0, 2, FAST) for s0 in range(2)]
+    for s0, est in enumerate(ests):
+        assert (rows[str(s0)]["rate"], rows[str(s0)]["gap"]) == (est.value, est.upper - est.value)
+    uppers = [est.upper for est in ests]
+    assert low["gap"] == min(uppers) - low["rate"]
+    assert high["gap"] == max(uppers) - high["rate"]
+    for row in (low, high):
+        assert row["converged"] == (row["gap"] < FAST.tol)
 
 
-def test_finite_n_bracket_mixing_states_agree():
-    u = mixing_pair(0.25, 0.25).channel
-    br = finite_n_bracket(u, 4, FAST)
-    assert br.high.value - br.low.value < 0.05
+def test_finite_n_bracket_mixing_states_agree(tmp_path, capsys):
+    rows = all_states_rows(mixing_pair(0.25, 0.25), 4, tmp_path, capsys)
+    assert rows["max"]["rate"] - rows["min"]["rate"] < 0.05
 
 
-def test_bracket_single_state_degenerate():
-    u = single_state([[0.75, 0.25], [0.25, 0.75]])
-    br = finite_n_bracket(u, 2, FAST)
-    assert br.low.value == br.high.value
+def test_bracket_single_state_degenerate(tmp_path, capsys):
+    record = LoadedChannel("unifilar", single_state([[0.75, 0.25], [0.25, 0.75]]))
+    rows = all_states_rows(record, 2, tmp_path, capsys)
+    assert rows["min"]["rate"] == rows["max"]["rate"]
 
 
 def test_dmc_capacity_identity():

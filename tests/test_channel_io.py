@@ -57,6 +57,16 @@ def test_decimal_channels_round_to_12_significant_digits(tmp_path):
     assert np.allclose(loaded.channel.w, w, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, general", [
+    ("general", False), ("unifilar", True), ("foo", False), ("foo", True),
+])
+def test_a_kind_that_does_not_match_the_channel_is_refused(kind, general):
+    u = mixing_pair("1/4", "1/4").channel
+    channel = compose_unifilar(u) if general else u
+    with pytest.raises(ValidationError, match=f"kind {kind!r} does not match"):
+        LoadedChannel(kind, channel)
+
+
 def test_general_law_round_trip(tmp_path):
     law = np.zeros((2, 2, 2, 2))
     law[:, :, 0, 0] = 0.5

@@ -406,6 +406,29 @@ def test_lambda_seq_rejects_empty_sequences(capsys, n, m_max):
     assert out == "" and "indices must be >= 1" in err
 
 
+def test_lambda_seq_refuses_an_m_max_over_the_bit_budget(capsys, monkeypatch):
+    queries = []
+    monkeypatch.setattr(NeverHaltingOracle, "halted_within", lambda self, n, m: queries.append(m))
+    code, out, err = run_cli(
+        capsys, "lambda-seq", "--mock", "never", "--input", "1", "--m-max", "4472"
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: m_max = 4472 needs 10001628 denominator bits")
+    assert queries == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "{ch}", "--n", "0", "--sweep-n"),
+    ("capacity", "{ch}", "--n", "-2", "--sweep-n", "--all-states"),
+    ("discontinuity-demo", "--eps", "1/4", "--k-list", "", "--n", "0"),
+], ids=["capacity-sweep", "capacity-all-states", "discontinuity-demo"])
+def test_horizon_below_one_is_refused_where_no_cell_runs(frozen_channel, capsys, argv):
+    n = argv[argv.index("--n") + 1]
+    code, out, err = run_cli(capsys, *[a.format(ch=frozen_channel) for a in argv])
+    assert code == 2
+    assert out == "" and err == f"error: horizon must be >= 1, got {n}\n"
+
+
 def exit_outcome(capsys, parse, argv):
     """(exit code, stdout, stderr) of a call that argparse ends."""
     with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,10 @@ from fscfb import (
     NeverHaltingOracle,
     OptimizerSettings,
     OracleError,
+    ResourceLimitError,
     effective_certificate,
     lambda_double_sequence,
+    lambda_sequence,
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
@@ -103,6 +105,16 @@ def test_lambda_sequence_domain_and_failures():
 
     with pytest.raises(OracleError, match="tape jam"):
         lambda_double_sequence(Broken(), 1, 3)
+
+
+def test_lambda_sequence_refuses_more_than_its_denominator_bits_before_any_query():
+    # exact values 2^-m hold M(M+1)/2 denominator bits: 10^7 admits M = 4,471
+    oracle = CountingOracle(NeverHaltingOracle())
+    with pytest.raises(ResourceLimitError, match="4472") as exc:
+        lambda_sequence(oracle, 1, 4472)
+    assert exc.value.limit == 10**7
+    assert oracle.queries == 0
+    assert lambda_sequence(oracle, 1, 4471)[-1] == Fraction(1, 2**4471)
 
 
 def test_fixed_oracle_takes_a_dict_or_an_int():
