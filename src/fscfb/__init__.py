@@ -8,7 +8,6 @@ double sequences.
 
 from .capacity import (
     CapacityEstimate,
-    DmcCapacityResult,
     OptimizerSettings,
     binary_entropy,
     dmc_capacity,
@@ -46,13 +45,11 @@ from .reduction import (
     CounterMachineOracle,
     FixedHaltingOracle,
     NeverHaltingOracle,
-    StopperOutcome,
     effective_certificate,
     lambda_double_sequence,
     lambda_sequence,
     parse_program,
     run_bounded,
-    threshold_stopper,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -584,23 +584,14 @@ def optimize_rate(
     )
 
 
-@dataclass(frozen=True)
-class DmcCapacityResult:
-    capacity: float
-    input_dist: np.ndarray
-    iterations: int
-    bracket: float
-
-
-def dmc_capacity(w) -> DmcCapacityResult:
+def dmc_capacity(w) -> CapacityEstimate:
     """Capacity of the memoryless channel ``w[x, y]``, in bits per use.
 
     Feedback does not raise a memoryless capacity, so this is the
-    Blahut-Arimoto solver on the one-state channel at horizon 1, with its
-    certificate [I(r), max_x D(W_x || Q)]: ``capacity`` is the bracket's
-    midpoint, ``bracket`` its width, ``iterations`` the solver's updates and
-    ``input_dist`` the returned input law r. A bracket that does not close
-    raises ``ResourceLimitError``.
+    Blahut-Arimoto solver on the one-state channel at horizon 1: its
+    estimate's certificate [value, upper] brackets the capacity, and
+    ``policy[0][0, 0]`` is the returned input law. A bracket that does not
+    close raises ``ResourceLimitError``.
     """
     w = np.asarray(w, dtype=float)
     u = UnifilarChannel(w[None], np.zeros((1,) + w.shape, dtype=int))
@@ -611,12 +602,7 @@ def dmc_capacity(w) -> DmcCapacityResult:
             f"capacity bracket did not close below {cfg.tol} in {cfg.max_iters} updates",
             limit=cfg.max_iters,
         )
-    return DmcCapacityResult(
-        capacity=(est.value + est.upper) / 2.0,
-        input_dist=est.policy[0][0, 0],
-        iterations=est.diagnostics["iterations"],
-        bracket=est.upper - est.value,
-    )
+    return est
 
 
 def z_channel_closed_form(eps: float):

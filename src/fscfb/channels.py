@@ -134,9 +134,6 @@ class ConnectivityReport:
     witness: tuple[int, int] | None = None
     max_hops: int | None = None
 
-    def __bool__(self) -> bool:
-        return self.connected
-
 
 def compose_unifilar(u: UnifilarChannel) -> FiniteStateChannel:
     """Expand (W, f) into the joint law: mass W(y|x,s') on s = f(s',x,y), else 0."""

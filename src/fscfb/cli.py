@@ -58,10 +58,6 @@ GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "exte
 _ALL_STATES_NOTE = "min over initial states of per-state maxima; not the joint max-min"
 
 
-def _digest_params(text: str) -> str:
-    return channel_io.content_digest(text.encode())
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -77,12 +73,6 @@ def _fmt(v) -> str:
 def _json_default(o):
     if isinstance(o, Fraction):
         return str(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
     raise TypeError(f"not serializable: {type(o).__name__}")
 
 
@@ -218,8 +208,11 @@ def cmd_directed_info(args):
     loaded = _load_unifilar(args.channel)
     u = loaded.channel
     s0 = _given(args.s0, loaded.s0, 0)
-    if args.dist:
-        dist = np.array([float(as_fraction(tok)) for tok in args.dist.split(",")])
+    if args.dist is not None:  # an empty --dist is a malformed law, not a missing one
+        try:
+            dist = np.array([float(as_fraction(tok)) for tok in args.dist.split(",")])
+        except DomainError as exc:
+            raise DomainError(f"input law {args.dist!r}: {exc}") from None
         policy_name = "iid"
     else:
         dist = np.full(u.x_size, 1.0 / u.x_size)
@@ -244,10 +237,10 @@ def cmd_dmc_capacity(args):
     if not 0 <= s0 < ch.s_size:
         raise DomainError(f"s0 = {s0} outside 0..{ch.s_size - 1}")
     w = ch.w[s0] if loaded.kind == "unifilar" else ch.law[s0].sum(axis=2)
-    result = dmc_capacity(w)
-    row = {"s0": s0, "capacity": result.capacity, "iterations": result.iterations,
-           "bracket": result.bracket}
-    for x, p in enumerate(result.input_dist):
+    est = dmc_capacity(w)
+    row = {"s0": s0, "capacity": (est.value + est.upper) / 2.0,
+           "iterations": est.diagnostics["iterations"], "bracket": est.upper - est.value}
+    for x, p in enumerate(est.policy[0][0, 0]):
         row[f"p_x{x}"] = float(p)
     return [row], {}, loaded.digest
 
@@ -289,7 +282,7 @@ def cmd_gallery(args):
             "file_digest": channel_io.content_digest(text.encode()),
         }
     ]
-    return rows, {}, _digest_params(param_str)
+    return rows, {}, channel_io.content_digest(param_str.encode())
 
 
 def cmd_discontinuity_demo(args):
@@ -321,7 +314,8 @@ def cmd_discontinuity_demo(args):
         "note": "limit row uses closed forms; finite k rows use the horizon-n estimator",
         "n": args.n,
     }
-    return rows, diags, _digest_params(f"eps={eps} k_list={args.k_list} n={args.n}")
+    params = f"eps={eps} k_list={args.k_list} n={args.n}"
+    return rows, diags, channel_io.content_digest(params.encode())
 
 
 def _parse_mock(spec: str):
@@ -347,7 +341,7 @@ def cmd_lambda_seq(args):
         digest = channel_io.content_digest(data)
     else:
         oracle = _parse_mock(args.mock)
-        digest = _digest_params(f"mock={args.mock}")
+        digest = channel_io.content_digest(f"mock={args.mock}".encode())
     values = lambda_sequence(oracle, args.input, args.m_max)
     certs = effective_certificate(values)
     rows = [

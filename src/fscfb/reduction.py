@@ -10,7 +10,6 @@ stand in for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OracleError, ResourceLimitError
@@ -196,33 +195,3 @@ def effective_certificate(values) -> list:
         hi, lo = max(hi, ref), min(lo, ref)
         out.append(max(hi - ref, ref - lo) << big_m < den)
     return out[::-1]
-
-
-@dataclass(frozen=True)
-class StopperOutcome:
-    """Either halted at ``step`` or exhausted the probe ``budget``.
-
-    Exhaustion certifies nothing: the underlying limit may still be
-    positive beyond the budget only if it is smaller than every probed
-    threshold, and it may equally be zero or negative.
-    """
-
-    halted: bool
-    step: int | None = None
-    budget: int | None = None
-
-
-def threshold_stopper(seq, n: int, budget: int = 64) -> StopperOutcome:
-    """Probe nu(n, m) for m = 1, 2, ... and halt once nu(n, m) > 2^(-m).
-
-    When |mu_n - nu(n, m)| < 2^(-m) for an underlying mu_n, this halts if
-    and only if mu_n > 0; a budget converts never-halting into an explicit
-    exhausted outcome.
-    """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    for m in range(1, budget + 1):
-        nu = seq(n, m)
-        if nu > Fraction(1, 2**m):
-            return StopperOutcome(halted=True, step=m)
-    return StopperOutcome(halted=False, budget=budget)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fscfb import (
-    DmcCapacityResult,
     FiniteStateChannel,
     FscError,
     OptimizerSettings,
@@ -622,17 +621,25 @@ def state_marginal(c: FiniteStateChannel, x_seq, s0: int, n: int) -> StateBelief
 # --- memoryless capacity --------------------------------------------------
 
 
-def plain_dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> DmcCapacityResult:
+@dataclass(frozen=True)
+class PlainCapacity:
+    """The midpoint and the width of the closed bracket."""
+
+    capacity: float
+    bracket: float
+
+
+def plain_dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> PlainCapacity:
     """Memoryless-channel capacity by plain alternating maximization.
 
     Iterates the multiplicative input update r <- r 2^D(W_x || Q) until the
     bounds I(r) <= C <= max_x D(W_x || Q) differ by less than ``tol`` and
-    returns their midpoint together with r.
+    returns their midpoint and their gap.
     """
     w = np.asarray(w, dtype=float)
     logw = np.where(w > 0, np.log2(np.where(w > 0, w, 1.0)), 0.0)
     r = np.full(w.shape[0], 1.0 / w.shape[0])
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         q = r @ w
         logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
         # d[x] = KL(w[x] || q) in bits; exact where w[x,y] > 0 implies q[y] > 0
@@ -640,9 +647,7 @@ def plain_dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> Dmc
         lower = float(r @ d)
         upper = float(d.max())
         if upper - lower < tol:
-            return DmcCapacityResult(
-                capacity=(upper + lower) / 2.0, input_dist=r, iterations=it, bracket=upper - lower
-            )
+            return PlainCapacity(capacity=(upper + lower) / 2.0, bracket=upper - lower)
         r = r * np.exp2(d)
         r = r / r.sum()
     raise ResourceLimitError(

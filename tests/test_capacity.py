@@ -1032,20 +1032,20 @@ def test_bracket_single_state_degenerate(tmp_path, capsys):
 
 def test_dmc_capacity_identity():
     res = dmc_capacity(np.eye(2))
-    assert res.capacity == pytest.approx(1.0, abs=1e-10)
-    assert res.bracket < 1e-10
+    assert (res.value + res.upper) / 2 == pytest.approx(1.0, abs=1e-10)
+    assert res.upper - res.value < 1e-10
 
 
 def test_dmc_capacity_bsc():
     res = dmc_capacity([[0.75, 0.25], [0.25, 0.75]])
-    assert res.capacity == pytest.approx(BSC_QUARTER, abs=1e-10)
-    assert np.allclose(res.input_dist, [0.5, 0.5], atol=1e-6)
+    assert (res.value + res.upper) / 2 == pytest.approx(BSC_QUARTER, abs=1e-10)
+    assert np.allclose(res.policy[0][0, 0], [0.5, 0.5], atol=1e-6)
 
 
 def test_dmc_capacity_z_channel():
     res = dmc_capacity([[0.75, 0.25], [0.0, 1.0]])
-    assert res.capacity == pytest.approx(C_Z_QUARTER, abs=1e-9)
-    assert res.input_dist[0] == pytest.approx(P0_QUARTER, abs=1e-6)
+    assert (res.value + res.upper) / 2 == pytest.approx(C_Z_QUARTER, abs=1e-9)
+    assert res.policy[0][0, 0][0] == pytest.approx(P0_QUARTER, abs=1e-6)
 
 
 def test_dmc_capacity_raises_on_an_open_bracket(monkeypatch):

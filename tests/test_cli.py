@@ -16,7 +16,9 @@ from fscfb import (
     CounterMachineOracle,
     FixedHaltingOracle,
     NeverHaltingOracle,
+    dmc_capacity,
     lambda_double_sequence,
+    load_channel,
 )
 from fscfb.cli import SUBCOMMANDS, build_parser, main
 from conftest import CountingOracle
@@ -249,9 +251,9 @@ def write_with_block(path, block):
     return path
 
 
-@pytest.mark.parametrize("dist", ["0.5,0.25,0.25", "1.5,-0.5", "0.5,0.4999999999"])
+@pytest.mark.parametrize("dist", ["0.5,0.25,0.25", "1.5,-0.5", "0.5,0.4999999999", ""])
 def test_directed_info_refuses_what_is_not_an_input_law(frozen_channel, capsys, dist):
-    # a wrong length, a negative entry, a sum 1e-10 short of 1
+    # a wrong length, a negative entry, a sum 1e-10 short of 1, an empty law
     code, out, err = run_cli(
         capsys, "directed-info", str(frozen_channel), "--n", "2", "--dist", dist
     )
@@ -280,6 +282,17 @@ def test_dmc_capacity_command(frozen_channel, capsys):
     row = parse_csv(out)[0]
     assert float(row["capacity"]) == pytest.approx(0.5582386267373455, abs=1e-9)
     assert float(row["p_x0"]) == pytest.approx(0.42782559679176746, abs=1e-6)
+    # JSON keeps every float's digits, so the row must equal the estimate's own numbers
+    code, out, _ = run_cli(
+        capsys, "dmc-capacity", str(frozen_channel), "--s0", "1", "--format", "json"
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    est = dmc_capacity(load_channel(frozen_channel).channel.w[1])
+    assert row["capacity"] == (est.value + est.upper) / 2
+    assert row["bracket"] == est.upper - est.value
+    assert row["iterations"] == est.diagnostics["iterations"]
+    assert row["p_x0"] == est.policy[0][0, 0][0]
 
 
 def test_discontinuity_demo(capsys):

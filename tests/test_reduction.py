@@ -20,7 +20,6 @@ from fscfb import (
     optimize_rate,
     parse_program,
     run_bounded,
-    threshold_stopper,
     z_channel_closed_form,
 )
 from conftest import CountingOracle, brute_certificate
@@ -123,26 +122,6 @@ def test_fixed_oracle_takes_a_dict_or_an_int():
     assert FixedHaltingOracle(3).halted_within(5, 3)
     with pytest.raises(DomainError, match="a dict or an int"):
         FixedHaltingOracle(lambda n: 3)
-
-
-def test_threshold_stopper_cases():
-    out = threshold_stopper(lambda n, m: Fraction(1), 4)
-    assert out.halted and out.step == 1
-    out = threshold_stopper(lambda n, m: Fraction(1, 2 ** (m + 1)), 4, budget=64)
-    assert not out.halted and out.budget == 64
-    gap = 1 - z_channel_closed_form(0.25)[0]
-    out = threshold_stopper(lambda n, m: gap, 4)
-    assert out.halted and out.step == 2
-    with pytest.raises(DomainError):
-        threshold_stopper(lambda n, m: 0, 4, budget=0)
-
-
-def test_threshold_stopper_halts_iff_positive(rng):
-    for _ in range(50):
-        mu = rng.choice([0.0, -0.25, float(rng.uniform(0.01, 1.0))])
-        seq = lambda n, m, mu=mu: mu + (-1) ** m * Fraction(1, 2 ** (m + 1))
-        out = threshold_stopper(seq, 1, budget=64)
-        assert out.halted == (mu > 0)
 
 
 def test_counter_machine_parse_errors():
