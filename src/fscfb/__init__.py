@@ -20,7 +20,6 @@ from .channels import (
     FiniteStateChannel,
     UnifilarChannel,
     compose_unifilar,
-    indecomposability_gap,
     indecomposability_gaps,
     strongly_connected,
     tv_distance,
@@ -44,7 +43,6 @@ from .gallery import (
 from .reduction import (
     CounterMachineOracle,
     FixedHaltingOracle,
-    NeverHaltingOracle,
     effective_certificate,
     lambda_double_sequence,
     lambda_sequence,

@@ -73,16 +73,19 @@ class OptimizerSettings:
 def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     """Refuse, before anything is allocated, a horizon below 1, an initial
     state outside the channel and a lattice of more than
-    ``MAX_JOINT_ENTRIES`` transitions."""
+    ``MAX_JOINT_ENTRIES`` transitions. The exponent stops at the limit's
+    bit length, where 2^N alone is over the limit, so a huge horizon is
+    refused without forming a power too long to print."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= s0 < u.s_size:
         raise DomainError(f"state {s0} outside 0..{u.s_size - 1}")
-    entries = u.s_size * u.x_size * u.y_size**horizon
+    capped = min(horizon, MAX_JOINT_ENTRIES.bit_length())
+    entries = u.s_size * u.x_size * u.y_size**capped
     if entries > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(
-            f"horizon {horizon} needs {entries} lattice transitions, "
-            f"over the limit of {MAX_JOINT_ENTRIES}",
+            f"horizon {horizon} needs {'at least ' * (capped < horizon)}{entries} "
+            f"lattice transitions, over the limit of {MAX_JOINT_ENTRIES}",
             limit=MAX_JOINT_ENTRIES,
         )
 

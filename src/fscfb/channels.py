@@ -144,9 +144,7 @@ def compose_unifilar(u: UnifilarChannel) -> FiniteStateChannel:
     return FiniteStateChannel(law)
 
 
-def indecomposability_gaps(
-    c: FiniteStateChannel, n: int, budget: int = INDECOMP_BUDGET
-) -> list[float]:
+def indecomposability_gaps(c: FiniteStateChannel, n: int) -> list[float]:
     """Worst-case initial-state memory after each of 1..n steps.
 
     Entry k-1 is max over (s_k, x^k, s_0, s_0') of
@@ -158,16 +156,19 @@ def indecomposability_gaps(
     max_{s_0} - min_{s_0} over the columns. The order of the input
     sequences never matters to a max. Levels of more than ``_GAP_BLOCK``
     floats are swept one input prefix at a time. Refuses horizons whose
-    sweep would touch more than ``budget`` table entries.
+    sweep would touch more than ``INDECOMP_BUDGET`` table entries. The
+    exponent stops at the budget's bit length, where 2^n alone is over it.
     """
     if n < 1:
         raise ValidationError(f"horizon must be >= 1, got {n}")
     s, x = c.s_size, c.x_size
-    cost = (x**n) * s * s
-    if cost > budget:
+    capped = min(n, INDECOMP_BUDGET.bit_length())
+    cost = (x**capped) * s * s
+    if cost > INDECOMP_BUDGET:
         raise ResourceLimitError(
-            f"exhaustive sweep needs {cost} entries, over the budget of {budget}",
-            limit=budget,
+            f"horizon {n} needs an exhaustive sweep of {'at least ' * (capped < n)}{cost} "
+            f"entries, over the budget of {INDECOMP_BUDGET}",
+            limit=INDECOMP_BUDGET,
         )
     # kernel[s_prev, (x, s_next)]: the one-step state kernels, outputs summed
     # out, side by side
@@ -188,12 +189,6 @@ def indecomposability_gaps(
     for j in range(top.shape[1]):
         sweep(top[:, j], n - deep, n)
     return gaps
-
-
-def indecomposability_gap(c: FiniteStateChannel, n: int, budget: int = INDECOMP_BUDGET) -> float:
-    """Worst-case initial-state memory after n steps: the last of
-    ``indecomposability_gaps(c, n, budget)``."""
-    return indecomposability_gaps(c, n, budget)[-1]
 
 
 def strongly_connected(c: FiniteStateChannel) -> ConnectivityReport:

@@ -30,7 +30,6 @@ from .capacity import (
 )
 from .channels import (
     compose_unifilar,
-    indecomposability_gap,
     indecomposability_gaps,
     strongly_connected,
     tv_distance,
@@ -47,7 +46,6 @@ from .rational import as_fraction
 from .reduction import (
     CounterMachineOracle,
     FixedHaltingOracle,
-    NeverHaltingOracle,
     effective_certificate,
     lambda_sequence,
 )
@@ -146,7 +144,7 @@ def cmd_validate(args):
     unifilar = bool((general.law > 0).sum(axis=3).max() <= 1)
     conn = strongly_connected(general)
     gap_n = args.n
-    gap = indecomposability_gap(general, gap_n)
+    gap = indecomposability_gaps(general, gap_n)[-1]
     rows = [
         {"property": "kind", "value": loaded.kind},
         {"property": "x_size", "value": general.x_size},
@@ -318,9 +316,9 @@ def cmd_discontinuity_demo(args):
     return rows, diags, channel_io.content_digest(params.encode())
 
 
-def _parse_mock(spec: str):
+def _parse_mock(spec: str, n: int):
     if spec == "never":
-        return NeverHaltingOracle()
+        return FixedHaltingOracle({})
     if spec.startswith("halt-at:"):
         try:
             step = int(spec.split(":", 1)[1])
@@ -328,19 +326,19 @@ def _parse_mock(spec: str):
             raise DomainError(f"bad halt-at step in {spec!r}") from exc
         if step < 1:
             raise DomainError("halt-at step must be >= 1")
-        return FixedHaltingOracle(step)
+        return FixedHaltingOracle({n: step})
     raise DomainError(f"unknown mock oracle {spec!r}; use 'never' or 'halt-at:K'")
 
 
 def cmd_lambda_seq(args):
     if (args.program is None) == (args.mock is None):
         raise DomainError("give exactly one of --program or --mock")
-    if args.program:
+    if args.program is not None:
         data = Path(args.program).read_bytes()
         oracle = CounterMachineOracle(data.decode("utf-8"))
         digest = channel_io.content_digest(data)
     else:
-        oracle = _parse_mock(args.mock)
+        oracle = _parse_mock(args.mock, args.input)
         digest = channel_io.content_digest(f"mock={args.mock}".encode())
     values = lambda_sequence(oracle, args.input, args.m_max)
     certs = effective_certificate(values)

@@ -1,10 +1,9 @@
 """Step-bounded oracles and the effective-sequence scaffolding built on them.
 
-An oracle is any object answering ``halted_within(n, m)``: has the
-underlying program halted on input n within m steps? Answers must be
-deterministic and monotone in m. A genuinely non-recursive halting set
-cannot be constructed, so mocks and a small counter-machine interpreter
-stand in for it.
+An oracle is any object answering ``halting_step(n, m)``: the step at
+which the underlying program halts on input n, if that is within m steps,
+else None. A genuinely non-recursive halting set cannot be constructed, so
+a mock and a small counter-machine interpreter stand in for it.
 """
 
 from __future__ import annotations
@@ -18,28 +17,17 @@ _BIT_BUDGET = 10**7  # denominator bits, m_max (m_max + 1) / 2, a sequence may h
 
 
 class FixedHaltingOracle:
-    """Mock oracle with prescribed halting steps.
+    """Mock oracle with prescribed halting steps: ``times`` maps an input
+    to its halting step, and inputs it does not hold never halt."""
 
-    ``times`` is a dict from input to halting step (missing inputs never
-    halt) or a single int used for every input.
-    """
+    def __init__(self, times: dict):
+        if not isinstance(times, dict):
+            raise DomainError("times must be a dict from input to halting step")
+        self.times = times
 
-    def __init__(self, times):
-        if isinstance(times, dict):
-            self._lookup = times.get
-        elif isinstance(times, int):
-            self._lookup = lambda n: times
-        else:
-            raise DomainError("times must be a dict or an int")
-
-    def halted_within(self, n: int, m: int) -> bool:
-        step = self._lookup(n)
-        return step is not None and step <= m
-
-
-class NeverHaltingOracle:
-    def halted_within(self, n: int, m: int) -> bool:
-        return False
+    def halting_step(self, n: int, m: int):
+        step = self.times.get(n)
+        return step if step is not None and step <= m else None
 
 
 # --- minimal counter-machine programs ------------------------------------
@@ -121,53 +109,53 @@ def run_bounded(program, n: int, max_steps: int):
 
 
 class CounterMachineOracle:
-    def __init__(self, program):
-        self.program = parse_program(program) if isinstance(program, str) else tuple(program)
+    def __init__(self, text: str):
+        self.program = parse_program(text)
 
-    def halted_within(self, n: int, m: int) -> bool:
-        return run_bounded(self.program, n, m) is not None
+    def halting_step(self, n: int, m: int):
+        # a program that halts before its first instruction halts at step 1
+        step = run_bounded(self.program, n, m)
+        return None if step is None else max(step, 1)
 
 
 def lambda_double_sequence(oracle, n: int, m: int) -> Fraction:
-    """Dyadic value 2^(-l) if the oracle halts on n within l <= m steps, else 2^(-m).
+    """Dyadic value 2^(-h) if the oracle halts on n at step h <= m, else 2^(-m).
 
     Non-increasing in m for fixed n, and |value(m) - value(M)| < 2^(-M)
-    whenever m >= M, so the sequence converges effectively.
+    whenever m >= M, so the sequence converges effectively. The oracle is
+    asked once; an answer other than None or a step in 1..m is refused.
     """
     if n < 1 or m < 1:
         raise DomainError(f"indices must be >= 1, got n={n}, m={m}")
     try:
-        if not oracle.halted_within(n, m):
-            return Fraction(1, 2**m)
-        # answers are monotone in the step bound, so bisect for the first
-        # halting step: at most ceil(log2 m) more queries
-        lo, hi = 1, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if oracle.halted_within(n, mid):
-                hi = mid
-            else:
-                lo = mid + 1
+        step = oracle.halting_step(n, m)
     except OracleError:
         raise
     except Exception as exc:
         raise OracleError(f"oracle query failed for n={n}: {exc}") from exc
-    return Fraction(1, 2**lo)
+    if step is None:
+        return Fraction(1, 2**m)
+    # a bool is an int, and would be the answer of a yes/no oracle
+    if isinstance(step, bool) or not isinstance(step, int) or not 1 <= step <= m:
+        raise OracleError(f"oracle answered {step!r} for n={n}, m={m}; expected None or 1..{m}")
+    return Fraction(1, 2**step)
 
 
 def lambda_sequence(oracle, n: int, m_max: int) -> list:
-    """[lambda_double_sequence(oracle, n, m) for m in 1..m_max] from one search.
+    """[lambda_double_sequence(oracle, n, m) for m in 1..m_max] from one query.
 
-    Answers are monotone in m, so the search at m_max finds l = min(h, m_max)
-    for the first halting step h, and lambda(n, m) = 2^(-min(l, m)). A search
-    per m would take O(m_max^2) machine steps. The values are exact, so
-    their denominators hold m_max (m_max + 1) / 2 bits; more than
-    ``_BIT_BUDGET`` is refused before the oracle is asked.
+    The query at m_max gives l = min(h, m_max) for the halting step h, and
+    lambda(n, m) = 2^(-min(l, m)). The values are exact, so their
+    denominators hold m_max (m_max + 1) / 2 bits; more than ``_BIT_BUDGET``
+    is refused before the oracle is asked. Past ``_BIT_BUDGET`` itself,
+    m_max alone is over the budget and the count is not formed.
     """
-    bits = m_max * (m_max + 1) // 2
+    capped = min(m_max, _BIT_BUDGET)
+    bits = capped * (capped + 1) // 2
     if bits > _BIT_BUDGET:
         raise ResourceLimitError(
-            f"m_max = {m_max} needs {bits} denominator bits, over the budget of {_BIT_BUDGET}",
+            f"m_max = {m_max} needs {'at least ' * (capped < m_max)}{bits} denominator bits, "
+            f"over the budget of {_BIT_BUDGET}",
             limit=_BIT_BUDGET,
         )
     last = lambda_double_sequence(oracle, n, m_max)

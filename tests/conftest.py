@@ -126,9 +126,9 @@ class CountingOracle:
         self.inner = inner
         self.queries = 0
 
-    def halted_within(self, n, m):
+    def halting_step(self, n, m):
         self.queries += 1
-        return self.inner.halted_within(n, m)
+        return self.inner.halting_step(n, m)
 
 
 @pytest.fixture

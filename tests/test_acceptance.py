@@ -17,7 +17,7 @@ from fscfb import (
     compose_unifilar,
     dmc_capacity,
     extend_states,
-    indecomposability_gap,
+    indecomposability_gaps,
     inverse_k_pair,
     lambda_double_sequence,
     mixing_pair,
@@ -159,7 +159,7 @@ def test_criterion_6_connectivity_verdicts():
 
 def test_criterion_7_indecomposability_decay():
     law = compose_unifilar(mixing_pair(Fraction(1, 4), Fraction(1, 4)).channel)
-    gaps = {n: indecomposability_gap(law, n) for n in (2, 4, 6, 8, 10)}
+    gaps = {n: indecomposability_gaps(law, n)[-1] for n in (2, 4, 6, 8, 10)}
     assert gaps[2] >= gaps[4] >= gaps[6] >= gaps[8]
     assert gaps[10] < 0.1
     print(f"ACCEPTANCE 7 PASS: state-memory gap decays "

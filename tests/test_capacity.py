@@ -19,6 +19,7 @@ from fscfb import (
     compose_unifilar,
     dmc_capacity,
     dumps_channel,
+    extend_alphabets,
     extend_states,
     iid_rate,
     inverse_k_pair,
@@ -449,6 +450,22 @@ def test_optimize_horizon_guard():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("horizon", [20_000, 10**7])
+@pytest.mark.parametrize("run", [
+    lambda u, n: optimize_rate(u, 0, n),
+    lambda u, n: iid_rate(u, 0, [1 / 3] * 3, n),
+], ids=["optimize_rate", "iid_rate"])
+def test_huge_horizons_are_refused_without_forming_the_count(run, horizon):
+    # 3^20000 has over 4,300 digits, too many to print, and 3^(10^7) takes
+    # seconds to form; the horizon alone is over the limit
+    u = extend_alphabets(mixing_pair(0.25, 0.25), 3, 3).channel
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"horizon {horizon} needs at least") as err:
+        run(u, horizon)
+    assert err.value.limit == capacity.MAX_JOINT_ENTRIES
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("settings", [

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from fscfb import (
     UnifilarChannel,
     ValidationError,
     compose_unifilar,
+    extend_alphabets,
     extend_states,
-    indecomposability_gap,
     indecomposability_gaps,
     mixing_pair,
     noiseless_z_pair,
@@ -181,32 +182,45 @@ def test_indecomposability_gap_single_state():
     law[:, :, 1, 0] = 0.75
     c = FiniteStateChannel(law)
     for n in (1, 3, 5):
-        assert indecomposability_gap(c, n) == 0.0
+        assert indecomposability_gaps(c, n)[-1] == 0.0
 
 
 def test_indecomposability_gap_frozen_states():
     c = compose_unifilar(noiseless_z_pair(EPS).channel)
     for n in (1, 4, 8):
-        assert indecomposability_gap(c, n) == 1.0  # states never mix
+        assert indecomposability_gaps(c, n)[-1] == 1.0  # states never mix
 
 
 def test_indecomposability_gap_decays_when_mixing():
     c = compose_unifilar(mixing_pair(EPS, 0.25).channel)
-    assert indecomposability_gap(c, 8) < indecomposability_gap(c, 2)
+    assert indecomposability_gaps(c, 8)[-1] < indecomposability_gaps(c, 2)[-1]
 
 
 def test_indecomposability_gap_range(rng):
     for _ in range(10):
         c = rand_fsc(rng, s_size=3)
-        g = indecomposability_gap(c, 3)
+        g = indecomposability_gaps(c, 3)[-1]
         assert 0.0 <= g <= 2.0
 
 
 def test_indecomposability_budget():
+    # binary two-state: 2^22 * 2^2 entries are over the budget of 10^7
     c = compose_unifilar(noiseless_z_pair(EPS).channel)
-    with pytest.raises(ResourceLimitError) as err:
-        indecomposability_gap(c, 10, budget=100)
-    assert err.value.limit == 100
+    with pytest.raises(ResourceLimitError, match="horizon 22 needs .* 16777216 entries") as err:
+        indecomposability_gaps(c, 22)
+    assert err.value.limit == fscfb.channels.INDECOMP_BUDGET
+
+
+@pytest.mark.parametrize("n", [20_000, 10**7])
+def test_indecomposability_refuses_huge_horizons_without_forming_the_count(n):
+    # 3^20000 has over 4,300 digits, too many to print, and 3^(10^7) takes
+    # seconds to form; the horizon alone is over the budget
+    c = extend_alphabets(mixing_pair(EPS, 0.25), 3, 3).as_general()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"horizon {n} needs .* at least") as err:
+        indecomposability_gaps(c, n)
+    assert err.value.limit == fscfb.channels.INDECOMP_BUDGET
+    assert time.perf_counter() - start < 1.0
 
 
 # a 64-float block sends every level past the first few through the prefix
@@ -226,7 +240,6 @@ def test_indecomposability_gaps_equal_the_per_sequence_loop(rng, monkeypatch, bl
         n = 8 if x_size < 3 else 5
         gaps = indecomposability_gaps(c, n)
         assert gaps == [brute_indecomp_gap(c, k) for k in range(1, n + 1)]
-        assert indecomposability_gap(c, n) == gaps[-1]
 
 
 @GAP_BLOCKS
@@ -251,7 +264,7 @@ def test_indecomposability_gaps_on_the_extended_mixing_channel(monkeypatch):
 def test_indecomposability_gap_rejects_horizons_below_one(n):
     c = compose_unifilar(noiseless_z_pair(EPS).channel)
     with pytest.raises(ValidationError):
-        indecomposability_gap(c, n)
+        indecomposability_gaps(c, n)
 
 
 def test_indecomposability_sweep_memory_is_bounded(rng):

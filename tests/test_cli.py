@@ -15,7 +15,6 @@ import fscfb.cli
 from fscfb import (
     CounterMachineOracle,
     FixedHaltingOracle,
-    NeverHaltingOracle,
     dmc_capacity,
     lambda_double_sequence,
     load_channel,
@@ -166,9 +165,12 @@ def test_validate_malformed_row_names_coordinates(tmp_path, capsys):
 
 
 def test_missing_file_fails(capsys):
-    code, _, err = run_cli(capsys, "validate", "/nonexistent/nope.json")
-    assert code == 2
-    assert "error:" in err
+    # an empty program path is a path that cannot be read, not a missing flag
+    for argv in (("validate", "/nonexistent/nope.json"),
+                 ("lambda-seq", "--program", "", "--input", "1")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
 
 
 def test_capacity_fixed_state(frozen_channel, capsys):
@@ -370,8 +372,8 @@ def test_lambda_seq_json_renders_fractions(capsys):
 
 LAMBDA_M = 12
 LAMBDA_CASES = (
-    [(("--mock", f"halt-at:{k}"), 1, FixedHaltingOracle(k)) for k in range(1, LAMBDA_M + 2)]
-    + [(("--mock", "never"), 3, NeverHaltingOracle())]
+    [(("--mock", f"halt-at:{k}"), 1, FixedHaltingOracle({1: k})) for k in range(1, LAMBDA_M + 2)]
+    + [(("--mock", "never"), 3, FixedHaltingOracle({}))]
     + [(("--program", "{prog}"), n, CounterMachineOracle(PARITY)) for n in (2, 3)]
 )
 
@@ -387,7 +389,6 @@ def counting_oracles(monkeypatch):
         return make
 
     monkeypatch.setattr(fscfb.cli, "FixedHaltingOracle", counting(FixedHaltingOracle))
-    monkeypatch.setattr(fscfb.cli, "NeverHaltingOracle", counting(NeverHaltingOracle))
     monkeypatch.setattr(fscfb.cli, "CounterMachineOracle", counting(CounterMachineOracle))
     return made
 
@@ -407,7 +408,7 @@ def test_lambda_seq_rows_come_from_one_halting_search(tmp_path, capsys, monkeypa
     code, counted, _ = run_cli(capsys, *argv)
     assert counted == out
     assert len(made) == 1
-    assert made[0].queries <= 1 + (LAMBDA_M - 1).bit_length()  # 1 + ceil(log2 M)
+    assert made[0].queries == 1
 
 
 @pytest.mark.parametrize("n, m_max", [(1, 0), (1, -3), (0, 0)])
@@ -421,7 +422,7 @@ def test_lambda_seq_rejects_empty_sequences(capsys, n, m_max):
 
 def test_lambda_seq_refuses_an_m_max_over_the_bit_budget(capsys, monkeypatch):
     queries = []
-    monkeypatch.setattr(NeverHaltingOracle, "halted_within", lambda self, n, m: queries.append(m))
+    monkeypatch.setattr(FixedHaltingOracle, "halting_step", lambda self, n, m: queries.append(m))
     code, out, err = run_cli(
         capsys, "lambda-seq", "--mock", "never", "--input", "1", "--m-max", "4472"
     )

@@ -8,7 +8,6 @@ from fscfb import (
     CounterMachineOracle,
     DomainError,
     FixedHaltingOracle,
-    NeverHaltingOracle,
     OptimizerSettings,
     OracleError,
     ResourceLimitError,
@@ -39,7 +38,7 @@ halt
 
 
 def test_lambda_sequence_halting_oracle():
-    oracle = FixedHaltingOracle(3)
+    oracle = FixedHaltingOracle({1: 3})
     values = [lambda_double_sequence(oracle, 1, m) for m in range(1, 7)]
     assert values == [
         Fraction(1, 2),
@@ -52,7 +51,7 @@ def test_lambda_sequence_halting_oracle():
 
 
 def test_lambda_sequence_never_halting():
-    values = [lambda_double_sequence(NeverHaltingOracle(), 5, m) for m in range(1, 6)]
+    values = [lambda_double_sequence(FixedHaltingOracle({}), 5, m) for m in range(1, 6)]
     assert values == [Fraction(1, 2**m) for m in range(1, 6)]
 
 
@@ -84,44 +83,62 @@ def test_lambda_sequence_matches_linear_scan_in_log_queries(m):
     for step in list(range(1, m + 2)) + [None]:
         reference = FixedHaltingOracle({1: step} if step else {})
         linear = next(
-            (Fraction(1, 2**k) for k in range(1, m + 1) if reference.halted_within(1, k)),
+            (Fraction(1, 2**k) for k in range(1, m + 1) if reference.halting_step(1, k)),
             Fraction(1, 2**m),
         )
         oracle = CountingOracle(reference)
         assert lambda_double_sequence(oracle, 1, m) == linear
-        assert oracle.queries <= 1 + (m - 1).bit_length()  # 1 + ceil(log2 m)
+        assert oracle.queries == 1
 
 
 def test_lambda_sequence_domain_and_failures():
     with pytest.raises(DomainError):
-        lambda_double_sequence(FixedHaltingOracle(1), 0, 3)
+        lambda_double_sequence(FixedHaltingOracle({1: 1}), 0, 3)
     with pytest.raises(DomainError):
-        lambda_double_sequence(FixedHaltingOracle(1), 1, 0)
+        lambda_double_sequence(FixedHaltingOracle({1: 1}), 1, 0)
 
     class Broken:
-        def halted_within(self, n, m):
+        def halting_step(self, n, m):
             raise RuntimeError("tape jam")
 
     with pytest.raises(OracleError, match="tape jam"):
         lambda_double_sequence(Broken(), 1, 3)
 
 
+@pytest.mark.parametrize("answer", [0, 4, 2.5, "3", True], ids=["0", "m+1", "2.5", "'3'", "True"])
+def test_lambda_sequence_refuses_an_answer_that_is_not_a_step(answer):
+    # a step outside 1..m, a non-integer, or the True of a yes/no oracle
+    class Odd:
+        def halting_step(self, n, m):
+            return answer
+
+    with pytest.raises(OracleError, match=f"answered {answer!r} for n=1, m=3"):
+        lambda_double_sequence(Odd(), 1, 3)
+    with pytest.raises(OracleError, match=f"answered {answer!r}"):
+        lambda_sequence(Odd(), 1, 3)
+
+
 def test_lambda_sequence_refuses_more_than_its_denominator_bits_before_any_query():
     # exact values 2^-m hold M(M+1)/2 denominator bits: 10^7 admits M = 4,471
-    oracle = CountingOracle(NeverHaltingOracle())
+    oracle = CountingOracle(FixedHaltingOracle({}))
     with pytest.raises(ResourceLimitError, match="4472") as exc:
         lambda_sequence(oracle, 1, 4472)
+    assert exc.value.limit == 10**7
+    # m_max alone is over the budget; M(M+1)/2 would have too many digits to print
+    with pytest.raises(ResourceLimitError, match="needs at least") as exc:
+        lambda_sequence(oracle, 1, 10**3000)
     assert exc.value.limit == 10**7
     assert oracle.queries == 0
     assert lambda_sequence(oracle, 1, 4471)[-1] == Fraction(1, 2**4471)
 
 
-def test_fixed_oracle_takes_a_dict_or_an_int():
-    assert FixedHaltingOracle({2: 3}).halted_within(2, 3)
-    assert not FixedHaltingOracle({2: 3}).halted_within(1, 99)
-    assert FixedHaltingOracle(3).halted_within(5, 3)
-    with pytest.raises(DomainError, match="a dict or an int"):
-        FixedHaltingOracle(lambda n: 3)
+def test_fixed_oracle_takes_a_dict():
+    assert FixedHaltingOracle({2: 3}).halting_step(2, 3) == 3
+    assert FixedHaltingOracle({2: 3}).halting_step(2, 2) is None
+    assert FixedHaltingOracle({2: 3}).halting_step(1, 99) is None
+    for times in (3, lambda n: 3):
+        with pytest.raises(DomainError, match="a dict"):
+            FixedHaltingOracle(times)
 
 
 def test_counter_machine_parse_errors():
@@ -146,10 +163,24 @@ def test_counter_machine_parity_program():
 
 def test_counter_machine_oracle_monotone():
     oracle = CounterMachineOracle(PARITY)
-    halted_at = next(m for m in range(1, 100) if oracle.halted_within(6, m))
+    halted_at = oracle.halting_step(6, 100)
     for m in range(1, 40):
-        assert oracle.halted_within(6, m) == (m >= halted_at)
-    assert not any(oracle.halted_within(7, m) for m in range(1, 60))
+        assert oracle.halting_step(6, m) == (halted_at if m >= halted_at else None)
+    assert all(oracle.halting_step(7, m) is None for m in range(1, 60))
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "halt\n", "inc r1\ndec r0\n",
+                                  "jz r0 2\ninc r1\ninc r1\n", PARITY],
+                         ids=["empty", "comments", "halt-only", "run-off", "jump-off", "parity"])
+def test_counter_machine_lambda_matches_a_linear_scan_over_run_bounded(text):
+    # the first step bound at which run_bounded reports a halt; a program
+    # that halts before its first instruction counts as halted at bound 1
+    program = parse_program(text)
+    oracle = CounterMachineOracle(text)
+    for n in range(1, 6):
+        for m in (1, 2, 3, 12):
+            first = next((k for k in range(1, m + 1) if run_bounded(program, n, k) is not None), m)
+            assert lambda_double_sequence(oracle, n, m) == Fraction(1, 2**first)
 
 
 def test_counter_machine_feeds_lambda_sequence():
