@@ -20,7 +20,14 @@ from itertools import accumulate
 import numpy as np
 
 from .channels import UnifilarChannel
-from .errors import DomainError, FscError, ResourceLimitError, ShapeError, ValidationError
+from .errors import (
+    DomainError,
+    FscError,
+    ResourceLimitError,
+    ShapeError,
+    ValidationError,
+    describe_int,
+)
 
 POLICY_ROW_TOL = 1e-12
 MAX_JOINT_ENTRIES = 4**10  # |S||X||Y|^N lattice transitions; N <= 18 for binary two-state
@@ -84,7 +91,7 @@ def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     entries = u.s_size * u.x_size * u.y_size**capped
     if entries > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(
-            f"horizon {horizon} needs {'at least ' * (capped < horizon)}{entries} "
+            f"{describe_int('horizon', horizon)} needs {'at least ' * (capped < horizon)}{entries} "
             f"lattice transitions, over the limit of {MAX_JOINT_ENTRIES}",
             limit=MAX_JOINT_ENTRIES,
         )

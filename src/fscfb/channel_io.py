@@ -88,17 +88,24 @@ def content_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _table(node, shape, path: str, row):
+def _path(at: tuple) -> str:
+    """A table position as a message names it: ("w", 0, 1) is "w[0][1]"."""
+    return at[0] + "".join(f"[{i}]" for i in at[1:])
+
+
+def _table(node, shape, at: tuple, row):
     """The nested list ``node`` as nested tuples of ``shape``, each innermost
-    list mapped by ``row(values, path)``. A list of the wrong length, or an
-    entry where a list belongs, is refused with its path."""
+    list mapped by ``row(values, at)``. ``at`` is the table's name followed
+    by the indices of ``node``; its path string is built only to refuse. A
+    list of the wrong length, or an entry where a list belongs, is refused
+    with its path."""
     if not isinstance(node, list):
-        raise ValidationError(f"{path} must be a list of {shape[0]} entries")
+        raise ValidationError(f"{_path(at)} must be a list of {shape[0]} entries")
     if len(node) != shape[0]:
-        raise ValidationError(f"{path} has {len(node)} entries, expected {shape[0]}")
+        raise ValidationError(f"{_path(at)} has {len(node)} entries, expected {shape[0]}")
     if len(shape) == 1:
-        return row(node, path)
-    return tuple(_table(sub, shape[1:], f"{path}[{i}]", row) for i, sub in enumerate(node))
+        return row(node, at)
+    return tuple(_table(sub, shape[1:], at + (i,), row) for i, sub in enumerate(node))
 
 
 def _prob_table(node, shape, name: str):
@@ -108,7 +115,7 @@ def _prob_table(node, shape, name: str):
     parsed = {}  # "p/q" -> (Fraction, float)
     floats = []
 
-    def row(values, path):
+    def row(values, at):
         out = []
         for i, value in enumerate(values):
             kind = type(value)  # a JSON value: exactly str, float, int, bool, ...
@@ -123,18 +130,19 @@ def _prob_table(node, shape, name: str):
             elif kind is int:
                 exact, approx = Fraction(value), float(value)
             else:
-                raise ValidationError(f"probability at {path}[{i}] must be a number or 'p/q' string")
+                raise ValidationError(
+                    f"probability at {_path(at + (i,))} must be a number or 'p/q' string")
             out.append(exact)
             floats.append(approx)
         return tuple(out)
 
-    table = _table(node, shape, name, row)
+    table = _table(node, shape, (name,), row)
     return table, np.array(floats).reshape(shape)
 
 
-def _state_row(values, path):
+def _state_row(values, at):
     if not {type(v) for v in values} <= {int, float}:
-        raise ValidationError(f"{path} must contain integer state indices")
+        raise ValidationError(f"{_path(at)} must contain integer state indices")
     return tuple(values)
 
 
@@ -178,7 +186,7 @@ def loads_channel(text: str) -> LoadedChannel:
     if "w" not in data or "f" not in data:
         raise ValidationError("channel file needs either 'law' or both 'w' and 'f'")
     exact_w, w = _prob_table(data["w"], shape, "w")
-    f = np.array(_table(data["f"], shape, "f", _state_row))
+    f = np.array(_table(data["f"], shape, ("f",), _state_row))
     channel = UnifilarChannel(w, f)
     return LoadedChannel("unifilar", channel, *header, exact_w)
 
@@ -190,6 +198,11 @@ def _is_int(value) -> bool:
 
 def _check_json(value, where: str):
     """Refuse a header value ``dumps_channel`` could not write, naming where it sits."""
+    if value is None or isinstance(value, (str, float)):
+        return
+    # an int (bool too) is written by int.__repr__, which refuses over 4,300 digits
+    if isinstance(value, int) and value.bit_length() <= 64:
+        return
     try:
         json.dumps(value)
     except (TypeError, ValueError) as exc:
@@ -251,9 +264,8 @@ def _pretty(value, pad: str = "") -> str:
         if not value:
             return "{}"
         inner = pad + "  "
-        body = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_pretty(v, inner)}" for k, v in value.items()
-        )
+        key = json.encoder.encode_basestring_ascii  # as json.dumps writes a str
+        body = ",\n".join(f"{inner}{key(str(k))}: {_pretty(v, inner)}" for k, v in value.items())
         return "{\n" + body + "\n" + pad + "}"
     if isinstance(value, list):
         if not any(isinstance(v, (dict, list)) for v in value):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError, ValidationError
+from .errors import ResourceLimitError, ShapeError, ValidationError, describe_int
 
 ROW_SUM_TOL = 1e-12       # stochasticity tolerance at validation time
 INDECOMP_BUDGET = 10**7   # |X|^n * |S|^2 entries an exhaustive sweep may touch
@@ -29,19 +29,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # _check_rows and _check_range are written so that NaN fails them: every
 # comparison with NaN is False.
 def _check_rows(rows: np.ndarray, what: str) -> None:
-    bad = np.argwhere(~(np.abs(rows - 1.0) <= ROW_SUM_TOL))
-    if bad.size:
-        s, x = bad[0]
+    ok = np.abs(rows - 1.0) <= ROW_SUM_TOL
+    if not ok.all():
+        s, x = np.argwhere(~ok)[0]
         raise ValidationError(
             f"{what} row (s_prev={s}, x={x}) sums to {rows[s, x]:.17g}, expected 1"
         )
 
 
 def _check_range(table: np.ndarray, what: str) -> None:
-    bad = np.argwhere(~((table >= 0.0) & (table <= 1.0)))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        raise ValidationError(f"{what} entry {idx} = {table[tuple(bad[0])]:.17g} outside [0, 1]")
+    ok = (table >= 0.0) & (table <= 1.0)
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        idx = tuple(int(i) for i in bad)
+        raise ValidationError(f"{what} entry {idx} = {table[tuple(bad)]:.17g} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class UnifilarChannel:
                 raise ValidationError("f must contain integer state indices")
             f = f.astype(np.int64)
         s_size = w.shape[0]
-        if np.any(f < 0) or np.any(f >= s_size):
+        if f.size and not (f.min() >= 0 and f.max() < s_size):
             bad = np.argwhere((f < 0) | (f >= s_size))[0]
             raise ValidationError(
                 f"f entry {tuple(int(i) for i in bad)} = {f[tuple(bad)]} outside 0..{s_size - 1}"
@@ -166,7 +167,8 @@ def indecomposability_gaps(c: FiniteStateChannel, n: int) -> list[float]:
     cost = (x**capped) * s * s
     if cost > INDECOMP_BUDGET:
         raise ResourceLimitError(
-            f"horizon {n} needs an exhaustive sweep of {'at least ' * (capped < n)}{cost} "
+            f"{describe_int('horizon', n)} needs an exhaustive sweep of "
+            f"{'at least ' * (capped < n)}{cost} "
             f"entries, over the budget of {INDECOMP_BUDGET}",
             limit=INDECOMP_BUDGET,
         )

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -74,9 +75,68 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o).__name__}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the stdlib's C string encoder
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_json(key) -> str:
+    """A dict key as the stdlib writes it: a string, or a scalar written as
+    a string."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(_json(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps`` writes it with sorted keys, a two-space
+    indent and ``default=_json_default``, byte for byte, starting at indent
+    ``pad``. With an indent, ``json.dumps`` falls back to the stdlib's
+    pure-Python encoder; this writer hands each string leaf to the C string
+    encoder, tests leaves in the stdlib's order (``bool`` before ``int``)
+    and writes int and float subclasses with ``int.__repr__`` and
+    ``float.__repr__`` as the stdlib does."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [f"{_key_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return _json(_json_default(value), pad)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+        return _json(report, "") + "\n"
     rows = report["rows"]
     if fmt == "csv":
         buf = io.StringIO()
@@ -333,6 +393,8 @@ def _parse_mock(spec: str, n: int):
 def cmd_lambda_seq(args):
     if (args.program is None) == (args.mock is None):
         raise DomainError("give exactly one of --program or --mock")
+    if args.program == "":  # Path("") is the current directory
+        raise DomainError("--program is empty; give the path of a program file")
     if args.program is not None:
         data = Path(args.program).read_bytes()
         oracle = CounterMachineOracle(data.decode("utf-8"))

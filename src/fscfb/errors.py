@@ -27,3 +27,12 @@ class ResourceLimitError(FscError, RuntimeError):
 
 class OracleError(FscError, RuntimeError):
     """A step-bounded oracle failed to answer a query."""
+
+
+def describe_int(name: str, value: int, sep: str = " ") -> str:
+    """``name`` and ``value`` as a refusal names them, "horizon 12". A value
+    of more than 64 bits is named by its bit length, "horizon of 16,610
+    bits": Python refuses to print an int of more than 4,300 digits."""
+    if value.bit_length() <= 64:
+        return f"{name}{sep}{value}"
+    return f"{name} of {value.bit_length():,} bits"

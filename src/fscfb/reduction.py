@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, OracleError, ResourceLimitError
+from .errors import DomainError, OracleError, ResourceLimitError, describe_int
 
 _BIT_BUDGET = 10**7  # denominator bits, m_max (m_max + 1) / 2, a sequence may hold
 
@@ -154,7 +154,8 @@ def lambda_sequence(oracle, n: int, m_max: int) -> list:
     bits = capped * (capped + 1) // 2
     if bits > _BIT_BUDGET:
         raise ResourceLimitError(
-            f"m_max = {m_max} needs {'at least ' * (capped < m_max)}{bits} denominator bits, "
+            f"{describe_int('m_max', m_max, ' = ')} needs {'at least ' * (capped < m_max)}{bits} "
+            f"denominator bits, "
             f"over the budget of {_BIT_BUDGET}",
             limit=_BIT_BUDGET,
         )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fscfb import (
     DomainError,
+    FixedHaltingOracle,
     LoadedChannel,
     OptimizerSettings,
     ResourceLimitError,
@@ -22,16 +23,19 @@ from fscfb import (
     extend_alphabets,
     extend_states,
     iid_rate,
+    indecomposability_gaps,
     inverse_k_pair,
+    lambda_sequence,
     mixing_pair,
     noiseless_z_pair,
     optimize_rate,
     z_channel_closed_form,
 )
-from fscfb import capacity
+from fscfb import capacity, reduction
+from fscfb.channels import INDECOMP_BUDGET
 from fscfb.cli import main
 from fscfb.capacity import _ascend, _Lattice, _secant
-from conftest import brute_directed_info, brute_joint, rand_policy, rand_unifilar
+from conftest import CountingOracle, brute_directed_info, brute_joint, rand_policy, rand_unifilar
 from oracle import (
     CausalPolicy,
     JointLaw,
@@ -466,6 +470,32 @@ def test_huge_horizons_are_refused_without_forming_the_count(run, horizon):
         run(u, horizon)
     assert err.value.limit == capacity.MAX_JOINT_ENTRIES
     assert time.perf_counter() - start < 1.0
+
+
+# 10^5000 has 16,610 bits and over 4,300 digits, too many to print
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("run, limit", [
+    (lambda u, c, oracle: optimize_rate(u, 0, HUGE), capacity.MAX_JOINT_ENTRIES),
+    (lambda u, c, oracle: iid_rate(u, 0, [1 / 3] * 3, HUGE), capacity.MAX_JOINT_ENTRIES),
+    (lambda u, c, oracle: indecomposability_gaps(c, HUGE), INDECOMP_BUDGET),
+    (lambda u, c, oracle: lambda_sequence(oracle, 1, HUGE), reduction._BIT_BUDGET),
+], ids=["optimize_rate", "iid_rate", "indecomposability_gaps", "lambda_sequence"])
+def test_horizons_too_long_to_print_are_refused_by_their_bit_length(run, limit):
+    u = extend_alphabets(mixing_pair(0.25, 0.25), 3, 3).channel
+    c = compose_unifilar(u)
+    oracle = CountingOracle(FixedHaltingOracle({}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="of 16,610 bits needs .*at least") as err:
+            run(u, c, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.limit == limit
+    assert oracle.queries == 0
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("settings", [

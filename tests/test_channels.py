@@ -44,6 +44,19 @@ def test_unifilar_validation_rejects_bad_states():
         UnifilarChannel(w, f)
 
 
+def test_unifilar_validation_names_the_first_bad_entry():
+    # the whole-table checks pass a good table; a bad one is named by its first entry
+    w = np.full((2, 2, 2), 0.5)
+    w[1, 1] = [np.nan, 0.5]
+    f = np.zeros((2, 2, 2), dtype=int)
+    with pytest.raises(ValidationError, match=r"^w entry \(1, 1, 0\) = nan outside \[0, 1\]$"):
+        UnifilarChannel(w, f)
+    w[1, 1] = 0.5
+    f[1, 0, 1], f[1, 1, 1] = -1, 2
+    with pytest.raises(ValidationError, match=r"^f entry \(1, 0, 1\) = -1 outside 0\.\.1$"):
+        UnifilarChannel(w, f)
+
+
 def test_fsc_validation():
     law = np.zeros((2, 2, 2, 2))
     law[:, :, 0, 0] = 1.0

@@ -3,13 +3,17 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fscfb.cli
 from fscfb import (
@@ -19,7 +23,7 @@ from fscfb import (
     lambda_double_sequence,
     load_channel,
 )
-from fscfb.cli import SUBCOMMANDS, build_parser, main
+from fscfb.cli import SUBCOMMANDS, build_parser, main, render_report
 from conftest import CountingOracle
 
 PARITY = "jz r0 6\ndec r0\njz r0 5\ndec r0\njmp 0\njmp 5\nhalt\n"
@@ -165,12 +169,14 @@ def test_validate_malformed_row_names_coordinates(tmp_path, capsys):
 
 
 def test_missing_file_fails(capsys):
-    # an empty program path is a path that cannot be read, not a missing flag
+    # an empty program path is refused, not taken for a missing flag
     for argv in (("validate", "/nonexistent/nope.json"),
                  ("lambda-seq", "--program", "", "--input", "1")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error:" in err
+    # Path("") is the current directory: the refusal names the flag, not "."
+    assert err == "error: --program is empty; give the path of a program file\n"
 
 
 def test_capacity_fixed_state(frozen_channel, capsys):
@@ -774,3 +780,45 @@ def test_a_non_ascii_label_loads_under_an_ascii_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
     echoed = json.JSONDecoder().raw_decode(proc.stdout)[0]
     assert echoed["label"] == "Zürich switch ε"
+
+
+# report leaves of every kind the JSON writer meets, and the corner floats
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(["\x00\x1f\n\t\"\\", "caf\u00e9 \u2028 \U0001f600"]),
+    st.fractions(),
+)
+_REPORTS = st.dictionaries(st.text(), st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()),
+                    inner, max_size=4),
+), max_leaves=30), max_size=5)
+
+
+def _stdlib_json(report):
+    return json.dumps(report, sort_keys=True, indent=2, default=fscfb.cli._json_default) + "\n"
+
+
+@settings(deadline=None)
+@given(_REPORTS)
+def test_json_report_is_the_stdlib_layout_byte_for_byte(report):
+    assert render_report(report, "json") == _stdlib_json(report)
+
+
+@pytest.mark.parametrize("leaf", [{1, 2}, np.bool_(True), np.int64(3)],
+                         ids=["set", "np.bool_", "np.int64"])
+def test_json_report_refuses_what_the_stdlib_refuses(leaf):
+    report = {"rows": [{"value": leaf}], "diagnostics": {}}
+    with pytest.raises(TypeError) as ours:
+        render_report(report, "json")
+    with pytest.raises(TypeError) as stdlib:
+        _stdlib_json(report)
+    assert str(ours.value) == str(stdlib.value)
