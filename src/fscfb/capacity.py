@@ -91,7 +91,8 @@ def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     entries = u.s_size * u.x_size * u.y_size**capped
     if entries > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(
-            f"{describe_int('horizon', horizon)} needs {'at least ' * (capped < horizon)}{entries} "
+            f"{describe_int('horizon', horizon)} needs "
+            f"{'at least ' if capped < horizon else ''}{entries} "
             f"lattice transitions, over the limit of {MAX_JOINT_ENTRIES}",
             limit=MAX_JOINT_ENTRIES,
         )

@@ -168,7 +168,7 @@ def indecomposability_gaps(c: FiniteStateChannel, n: int) -> list[float]:
     if cost > INDECOMP_BUDGET:
         raise ResourceLimitError(
             f"{describe_int('horizon', n)} needs an exhaustive sweep of "
-            f"{'at least ' * (capped < n)}{cost} "
+            f"{'at least ' if capped < n else ''}{cost} "
             f"entries, over the budget of {INDECOMP_BUDGET}",
             limit=INDECOMP_BUDGET,
         )

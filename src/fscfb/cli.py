@@ -89,19 +89,16 @@ def _float_json(value: float) -> str:
 
 
 def _key_json(key) -> str:
-    """A dict key as the stdlib writes it: a string, or a scalar written as
-    a string."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(_json(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """A dict key, which in every report is a string."""
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
 
 
 def _json(value, pad: str) -> str:
-    """``value`` as ``json.dumps`` writes it with sorted keys, a two-space
-    indent and ``default=_json_default``, byte for byte, starting at indent
-    ``pad``. With an indent, ``json.dumps`` falls back to the stdlib's
+    """``value``, whose dict keys are strings, as ``json.dumps`` writes it
+    with sorted keys, a two-space indent and ``default=_json_default``,
+    byte for byte, starting at indent ``pad``. With an indent, ``json.dumps`` falls back to the stdlib's
     pure-Python encoder; this writer hands each string leaf to the C string
     encoder, tests leaves in the stdlib's order (``bool`` before ``int``)
     and writes int and float subclasses with ``int.__repr__`` and

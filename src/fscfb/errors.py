@@ -32,7 +32,8 @@ class OracleError(FscError, RuntimeError):
 def describe_int(name: str, value: int, sep: str = " ") -> str:
     """``name`` and ``value`` as a refusal names them, "horizon 12". A value
     of more than 64 bits is named by its bit length, "horizon of 16,610
-    bits": Python refuses to print an int of more than 4,300 digits."""
-    if value.bit_length() <= 64:
-        return f"{name}{sep}{value}"
-    return f"{name} of {value.bit_length():,} bits"
+    bits": Python refuses to print an int of more than 4,300 digits. Any
+    other number, a NumPy integer too, is printed as it is."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{name} of {value.bit_length():,} bits"
+    return f"{name}{sep}{value}"

@@ -20,11 +20,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
         try:
-            # "p/q" in ASCII digits, as channel files write it, skips Fraction's parser
-            if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-                return Fraction(int(num), int(den))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse {value!r} as a rational number") from exc

@@ -154,9 +154,9 @@ def lambda_sequence(oracle, n: int, m_max: int) -> list:
     bits = capped * (capped + 1) // 2
     if bits > _BIT_BUDGET:
         raise ResourceLimitError(
-            f"{describe_int('m_max', m_max, ' = ')} needs {'at least ' * (capped < m_max)}{bits} "
-            f"denominator bits, "
-            f"over the budget of {_BIT_BUDGET}",
+            f"{describe_int('m_max', m_max, ' = ')} needs "
+            f"{'at least ' if capped < m_max else ''}{bits} "
+            f"denominator bits, over the budget of {_BIT_BUDGET}",
             limit=_BIT_BUDGET,
         )
     last = lambda_double_sequence(oracle, n, m_max)

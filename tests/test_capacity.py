@@ -476,20 +476,25 @@ def test_huge_horizons_are_refused_without_forming_the_count(run, horizon):
 HUGE = 10**5000
 
 
-@pytest.mark.parametrize("run, limit", [
-    (lambda u, c, oracle: optimize_rate(u, 0, HUGE), capacity.MAX_JOINT_ENTRIES),
-    (lambda u, c, oracle: iid_rate(u, 0, [1 / 3] * 3, HUGE), capacity.MAX_JOINT_ENTRIES),
-    (lambda u, c, oracle: indecomposability_gaps(c, HUGE), INDECOMP_BUDGET),
-    (lambda u, c, oracle: lambda_sequence(oracle, 1, HUGE), reduction._BIT_BUDGET),
+@pytest.mark.parametrize("run, limit, over", [
+    (lambda u, c, oracle, h: optimize_rate(u, 0, h), capacity.MAX_JOINT_ENTRIES, 30),
+    (lambda u, c, oracle, h: iid_rate(u, 0, [1 / 3] * 3, h), capacity.MAX_JOINT_ENTRIES, 30),
+    (lambda u, c, oracle, h: indecomposability_gaps(c, h), INDECOMP_BUDGET, 30),
+    (lambda u, c, oracle, h: lambda_sequence(oracle, 1, h), reduction._BIT_BUDGET, 5000),
 ], ids=["optimize_rate", "iid_rate", "indecomposability_gaps", "lambda_sequence"])
-def test_horizons_too_long_to_print_are_refused_by_their_bit_length(run, limit):
+@pytest.mark.parametrize("numpy", [False, True], ids=["huge", "np.int64"])
+def test_horizons_too_long_to_print_are_refused_by_their_bit_length(run, limit, over, numpy):
+    # a NumPy integer horizon over the limit is refused the same way, named in decimal
+    horizon, named = (HUGE, " of 16,610 bits needs .*at least")
+    if numpy:
+        horizon, named = np.int64(over), f" {over} needs"
     u = extend_alphabets(mixing_pair(0.25, 0.25), 3, 3).channel
     c = compose_unifilar(u)
     oracle = CountingOracle(FixedHaltingOracle({}))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="of 16,610 bits needs .*at least") as err:
-            run(u, c, oracle)
+        with pytest.raises(ResourceLimitError, match=named) as err:
+            run(u, c, oracle, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

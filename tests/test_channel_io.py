@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscfb import (
-    DomainError,
     FiniteStateChannel,
     FscError,
     LoadedChannel,
@@ -24,7 +23,6 @@ from fscfb import (
     mixing_pair,
     noiseless_z_pair,
 )
-from fscfb.rational import as_fraction
 
 
 def test_gallery_round_trip_keeps_fractions(tmp_path):
@@ -223,20 +221,6 @@ def test_fraction_probability_strings_validate():
     )
     # exact thirds survive the echo even though floats cannot represent them
     assert '"2/3"' in dumps_channel(loaded)
-
-
-@pytest.mark.parametrize("text", [
-    "1/4", "3/6", "0/5", "007/8", "12345678901234567890/3",  # ASCII "p/q": read as two ints
-    " 1/4 ", "+1/4", "-1/4", "1_0/40", "\u0661/\u0662", "0.25", "1e-2", "3",  # the parser's
-])
-def test_as_fraction_reads_strings_as_the_fraction_parser_does(text):
-    assert as_fraction(text) == Fraction(text.strip())
-
-
-@pytest.mark.parametrize("text", ["1/0", "0/0", "1/", "/4", "1/4/2", "a/b", ""])
-def test_as_fraction_refuses_a_malformed_rational(text):
-    with pytest.raises(DomainError, match=f"cannot parse {text!r} as a rational number"):
-        as_fraction(text)
 
 
 def test_refusals_name_the_entry_by_its_path():
