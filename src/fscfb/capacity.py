@@ -26,6 +26,7 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
     ValidationError,
+    check_horizon,
     describe_int,
 )
 
@@ -83,10 +84,9 @@ def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     ``MAX_JOINT_ENTRIES`` transitions. The exponent stops at the limit's
     bit length, where 2^N alone is over the limit, so a huge horizon is
     refused without forming a power too long to print."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon)
     if not 0 <= s0 < u.s_size:
-        raise DomainError(f"state {s0} outside 0..{u.s_size - 1}")
+        raise DomainError(f"{describe_int('state', s0)} outside 0..{u.s_size - 1}")
     capped = min(horizon, MAX_JOINT_ENTRIES.bit_length())
     entries = u.s_size * u.x_size * u.y_size**capped
     if entries > MAX_JOINT_ENTRIES:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import OptimizerSettings
 from .channels import FiniteStateChannel, UnifilarChannel, compose_unifilar
-from .errors import ValidationError
+from .errors import ValidationError, describe_int
 from .rational import as_fraction
 
 FORMAT_NAME = "fsc-channel"
@@ -162,7 +162,7 @@ def load_channel(path) -> LoadedChannel:
 def loads_channel(text: str) -> LoadedChannel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an int of more than 4,300 digits
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("channel file must hold a JSON object")
@@ -201,7 +201,11 @@ def _check_json(value, where: str):
     try:
         json.dumps(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where} = {value!r} is not a JSON value: {exc}") from exc
+        try:
+            named = describe_int(where, value, " = ") if _is_int(value) else f"{where} = {value!r}"
+        except ValueError:  # it holds an int too long to print
+            named = where
+        raise ValidationError(f"{named} is not a JSON value: {exc}") from exc
 
 
 def _tupled(nested):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError, ValidationError, describe_int
+from .errors import ResourceLimitError, ShapeError, ValidationError, check_horizon, describe_int
 
 ROW_SUM_TOL = 1e-12       # stochasticity tolerance at validation time
 INDECOMP_BUDGET = 10**7   # |X|^n * |S|^2 entries an exhaustive sweep may touch
@@ -160,8 +160,7 @@ def indecomposability_gaps(c: FiniteStateChannel, n: int) -> list[float]:
     sweep would touch more than ``INDECOMP_BUDGET`` table entries. The
     exponent stops at the budget's bit length, where 2^n alone is over it.
     """
-    if n < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n}")
+    check_horizon(n)
     s, x = c.s_size, c.x_size
     capped = min(n, INDECOMP_BUDGET.bit_length())
     cost = (x**capped) * s * s

@@ -35,7 +35,7 @@ from .channels import (
     strongly_connected,
     tv_distance,
 )
-from .errors import DomainError, FscError, ValidationError
+from .errors import DomainError, FscError, ValidationError, check_horizon
 from .gallery import (
     extend_alphabets,
     extend_states,
@@ -217,12 +217,6 @@ def cmd_validate(args):
     return rows, {}, loaded.digest
 
 
-def _check_horizon(n):
-    """Refuse a horizon below 1, also where no cell runs to refuse it."""
-    if n < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n}")
-
-
 def _estimate_row(n, s0_label, est, upper, tol):
     """A capacity row: the rate of ``est`` and its gap to ``upper``."""
     gap = upper - est.value
@@ -239,7 +233,7 @@ def _estimate_row(n, s0_label, est, upper, tol):
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
     cfg = _resolve_settings(args, loaded.optimizer)
-    _check_horizon(args.n)
+    check_horizon(args.n)  # also where no cell runs to refuse it
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     s0 = _given(args.s0, loaded.s0)
@@ -347,7 +341,7 @@ def cmd_discontinuity_demo(args):
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
-    _check_horizon(args.n)
+    check_horizon(args.n)
     rows = [
         {
             "k": "inf",

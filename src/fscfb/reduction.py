@@ -126,7 +126,8 @@ def lambda_double_sequence(oracle, n: int, m: int) -> Fraction:
     asked once; an answer other than None or a step in 1..m is refused.
     """
     if n < 1 or m < 1:
-        raise DomainError(f"indices must be >= 1, got n={n}, m={m}")
+        raise DomainError(
+            f"indices must be >= 1, got {describe_int('n', n, '=')}, {describe_int('m', m, '=')}")
     try:
         step = oracle.halting_step(n, m)
     except OracleError:
@@ -148,9 +149,10 @@ def lambda_sequence(oracle, n: int, m_max: int) -> list:
     lambda(n, m) = 2^(-min(l, m)). The values are exact, so their
     denominators hold m_max (m_max + 1) / 2 bits; more than ``_BIT_BUDGET``
     is refused before the oracle is asked. Past ``_BIT_BUDGET`` itself,
-    m_max alone is over the budget and the count is not formed.
+    m_max alone is over the budget and the count is not formed; an m_max
+    below 1 counts no bits and is refused as an index.
     """
-    capped = min(m_max, _BIT_BUDGET)
+    capped = max(0, min(m_max, _BIT_BUDGET))
     bits = capped * (capped + 1) // 2
     if bits > _BIT_BUDGET:
         raise ResourceLimitError(

@@ -1,7 +1,12 @@
 """Shared generators and brute-force oracles for the test suite.
 
 The oracles here deliberately use plain dict/loop enumeration so they stay
-independent of the vectorized implementations they check.
+independent of the vectorized implementations they check, and import no
+private name of ``fscfb``. Each is the one reference for its quantity:
+``brute_nfold`` for the n-fold law, ``brute_indecomp_gap`` for the
+state-memory gap and ``brute_certificate`` for the convergence certificate;
+``brute_joint`` and ``brute_directed_info`` check the path tables of
+``oracle.py``, the reference for the rate.
 """
 
 import itertools
@@ -18,6 +23,12 @@ def rand_fsc(rng, s_size=2, x_size=2, y_size=2):
     law = rng.random((s_size, x_size, y_size, s_size))
     law /= law.sum(axis=(2, 3), keepdims=True)
     return FiniteStateChannel(law)
+
+
+def single_state(w):
+    """The memoryless channel w[x, y] as a unifilar channel of one state."""
+    w = np.asarray(w, dtype=float)
+    return UnifilarChannel(w[None, :, :], np.zeros((1,) + w.shape, dtype=int))
 
 
 def rand_unifilar(rng, s_size=2, x_size=2, y_size=2):

@@ -17,6 +17,7 @@ from fscfb import (
     ShapeError,
     UnifilarChannel,
     ValidationError,
+    binary_entropy,
     compose_unifilar,
     dmc_capacity,
     dumps_channel,
@@ -35,31 +36,32 @@ from fscfb import capacity, reduction
 from fscfb.channels import INDECOMP_BUDGET
 from fscfb.cli import main
 from fscfb.capacity import _ascend, _Lattice, _secant
-from conftest import CountingOracle, brute_directed_info, brute_joint, rand_policy, rand_unifilar
+from conftest import (
+    CountingOracle,
+    brute_directed_info,
+    brute_joint,
+    brute_nfold,
+    rand_policy,
+    rand_unifilar,
+    single_state,
+)
 from oracle import (
     CausalPolicy,
-    JointLaw,
     _PathModel,
     _path_rate,
     causal_policy,
-    directed_information,
     evaluate_rate,
-    n_fold_law,
     optimize_paths,
     plain_dmc_capacity,
 )
 
-C_Z_QUARTER = 0.5582386267373455
+H2_QUARTER = 0.8112781244591328  # -p log2 p - (1-p) log2 (1-p) at p = 1/4
+C_Z_QUARTER = 0.5582386267373455  # log2(1 + 2^(-g)) at eps = 1/4
 P0_QUARTER = 0.42782559679176746
 BSC_QUARTER = 0.18872187554086717   # 1 - H2(1/4)
 BSC_011 = 0.500084041835472         # 1 - H2(0.11)
 
 FAST = OptimizerSettings()
-
-
-def single_state(w):
-    w = np.asarray(w, dtype=float)
-    return UnifilarChannel(w[None, :, :], np.zeros((1,) + w.shape, dtype=int))
 
 
 def trapdoor():
@@ -126,12 +128,8 @@ def test_evaluate_rate_matches_brute_force_oracles(rng):
             for k in range(n)
         ))
         s0 = int(rng.integers(0, s_size))
-        joint = brute_joint(u, s0, pol)
         rate = evaluate_rate(u, s0, pol)
-        assert rate == pytest.approx(
-            directed_information(JointLaw(joint.shape, joint), n) / n, abs=1e-12
-        )
-        assert rate == pytest.approx(brute_directed_info(joint, n) / n, abs=1e-12)
+        assert rate == pytest.approx(brute_directed_info(brute_joint(u, s0, pol), n) / n, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +204,44 @@ def test_iid_rate_reaches_the_lattice_limit():
     assert iid_rate(u, 0, [0.5, 0.5], 18) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_iid_rate_reference_points():
+    # an output law the same for every input and state carries nothing
+    f = np.array([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+    deaf = UnifilarChannel(np.tile([0.3, 0.7], (2, 2, 1)), f)
+    for n in (1, 2, 3):
+        assert iid_rate(deaf, 0, [0.4, 0.6], n) == pytest.approx(0.0, abs=1e-12)
+    # the noiseless state carries one bit per use under uniform inputs
+    u = noiseless_z_pair(0.25).channel
+    for n in (1, 2, 3, 4):
+        assert iid_rate(u, 0, [0.5, 0.5], n) == pytest.approx(1.0, abs=1e-12)
+    # the Z state at its optimal input law reaches the closed form
+    cap, dist = z_channel_closed_form(0.25)
+    assert iid_rate(u, 1, dist, 1) == pytest.approx(cap, abs=1e-12)
+
+
+def test_iid_rate_with_underflowing_probabilities():
+    u = trapdoor()
+    rate = iid_rate(u, 0, [1.0 - 1e-200, 1e-200], 2)
+    assert np.isfinite(rate)
+    assert rate == pytest.approx(iid_rate(u, 0, [1.0, 0.0], 2), abs=1e-12)
+
+
+def test_lattice_rate_lies_between_zero_and_log_alphabet(rng):
+    """0 <= I(X^N -> Y^N | s_0) / N <= log2 min(|X|, |Y|) at random lattice
+    policies, sparse ones too; an output that ignores the input gives 0."""
+    for case in range(48):
+        s, x, y = (int(v) for v in rng.integers([1, 2, 2], [4, 4, 4]))
+        n = int(rng.integers(1, 5))
+        u = UnifilarChannel(stochastic(rng, (s, x, y), zeros=case % 2 == 1),
+                            rng.integers(0, s, size=(s, x, y)))
+        lattice = _Lattice(u, int(rng.integers(0, s)), n)
+        pi = stochastic(rng, lattice.theta_shape[::-1], zeros=case % 4 >= 2).T
+        rate = lattice.rate(pi)[0]
+        assert -1e-12 <= rate <= np.log2(min(x, y)) + 1e-12  # rounding may put a 0 below 0
+        deaf = UnifilarChannel(np.broadcast_to(u.w[0, 0], u.w.shape), u.f)
+        assert _Lattice(deaf, lattice.s0, n).rate(pi)[0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_evaluate_rate_noiseless_uniform():
     u = noiseless_z_pair(0.25).channel
     assert evaluate_rate(u, 0, CausalPolicy.uniform(2, 2, 2)) == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +271,7 @@ def log_table(pol):
     return np.log(np.concatenate(pol.steps)).T
 
 
-def path_law(u, s0, pol):
+def brute_path_law(u, s0, pol):
     """The brute-force joint, flattened in the model's (x_1, y_1, ..., x_N, y_N) path order."""
     n = pol.horizon
     joint = brute_joint(u, s0, pol)
@@ -251,7 +287,7 @@ def test_path_model_objective_matches_evaluate_rate(rng):
     assert exact
     assert value == pytest.approx(evaluate_rate(u, 0, pol), abs=1e-14)
     # z = ln P(x^N | y^N) and L = log2 Wseq - log2 Q(y^N) against the brute-force joint
-    prob = path_law(u, 0, pol)
+    prob = brute_path_law(u, 0, pol)
     q = np.bincount(model.yidx, weights=prob)[model.yidx]
     z, loss = model.buf
     live = prob > 0
@@ -288,8 +324,8 @@ def test_gradient_matches_finite_differences(rng, builder):
     for pol in policies:
         model.forward(log_table(pol))
         loss = model.buf[1].copy()
-        prob = path_law(u, 0, pol)
-        move = path_law(u, 0, rand_policy(rng, 2, 2, 2)) - prob
+        prob = brute_path_law(u, 0, pol)
+        move = brute_path_law(u, 0, rand_policy(rng, 2, 2, 2)) - prob
 
         def rate(t):
             return _path_rate(prob + t * move, model.logw, model.yidx, 2, 2)[0]
@@ -353,7 +389,9 @@ def test_lattice_output_law_is_the_n_fold_law(rng):
         for x, cols in zip(xs, lattice.steps):
             pi[x, cols] = 1.0
         q = lattice.rate(pi)[1].reshape((3,) * n)  # axes y_N .. y_1
-        law = n_fold_law(compose_unifilar(u), xs, s0, n).sum(axis=-1)
+        law = np.zeros((3,) * n)  # axes y_1 .. y_N
+        for (*ys, _), p in brute_nfold(compose_unifilar(u).law, xs, s0).items():
+            law[tuple(ys)] += p
         assert np.allclose(q, law.transpose(range(n - 1, -1, -1)), rtol=0, atol=1e-15)
 
 
@@ -476,31 +514,44 @@ def test_huge_horizons_are_refused_without_forming_the_count(run, horizon):
 HUGE = 10**5000
 
 
-@pytest.mark.parametrize("run, limit, over", [
-    (lambda u, c, oracle, h: optimize_rate(u, 0, h), capacity.MAX_JOINT_ENTRIES, 30),
-    (lambda u, c, oracle, h: iid_rate(u, 0, [1 / 3] * 3, h), capacity.MAX_JOINT_ENTRIES, 30),
-    (lambda u, c, oracle, h: indecomposability_gaps(c, h), INDECOMP_BUDGET, 30),
-    (lambda u, c, oracle, h: lambda_sequence(oracle, 1, h), reduction._BIT_BUDGET, 5000),
+@pytest.mark.parametrize("run, limit, over, below", [
+    (lambda u, c, oracle, h: optimize_rate(u, 0, h), capacity.MAX_JOINT_ENTRIES, 30,
+     (ValidationError, "horizon must be >= 1, got a value of 16,610 bits")),
+    (lambda u, c, oracle, h: iid_rate(u, 0, [1 / 3] * 3, h), capacity.MAX_JOINT_ENTRIES, 30,
+     (ValidationError, "horizon must be >= 1, got a value of 16,610 bits")),
+    (lambda u, c, oracle, h: indecomposability_gaps(c, h), INDECOMP_BUDGET, 30,
+     (ValidationError, "horizon must be >= 1, got a value of 16,610 bits")),
+    (lambda u, c, oracle, h: lambda_sequence(oracle, 1, h), reduction._BIT_BUDGET, 5000,
+     (DomainError, "indices must be >= 1, got n=1, m of 16,610 bits")),
 ], ids=["optimize_rate", "iid_rate", "indecomposability_gaps", "lambda_sequence"])
-@pytest.mark.parametrize("numpy", [False, True], ids=["huge", "np.int64"])
-def test_horizons_too_long_to_print_are_refused_by_their_bit_length(run, limit, over, numpy):
-    # a NumPy integer horizon over the limit is refused the same way, named in decimal
-    horizon, named = (HUGE, " of 16,610 bits needs .*at least")
-    if numpy:
-        horizon, named = np.int64(over), f" {over} needs"
+@pytest.mark.parametrize("value", ["huge", "np.int64", "-huge"])
+def test_horizons_too_long_to_print_are_refused_by_their_bit_length(run, limit, over, below, value):
+    # a NumPy integer horizon over the limit is refused the same way, named in
+    # decimal; one below 1 is refused as such, named by its bit length
+    error, horizon, named = {
+        "huge": (ResourceLimitError, HUGE, " of 16,610 bits needs .*at least"),
+        "np.int64": (ResourceLimitError, np.int64(over), f" {over} needs"),
+        "-huge": (below[0], -HUGE, f"^{below[1]}$"),
+    }[value]
     u = extend_alphabets(mixing_pair(0.25, 0.25), 3, 3).channel
     c = compose_unifilar(u)
     oracle = CountingOracle(FixedHaltingOracle({}))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=named) as err:
+        with pytest.raises(error, match=named) as err:
             run(u, c, oracle, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.limit == limit
+    if error is ResourceLimitError:
+        assert err.value.limit == limit
     assert oracle.queries == 0
     assert peak < 100_000
+
+
+def test_a_state_too_long_to_print_is_refused_by_its_bit_length():
+    with pytest.raises(DomainError, match=r"^state of 16,610 bits outside 0\.\.1$"):
+        optimize_rate(noiseless_z_pair(0.25).channel, HUGE, 2)
 
 
 @pytest.mark.parametrize("settings", [
@@ -1023,13 +1074,11 @@ def test_every_accepted_iterate_is_a_policy(cell):
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
 def test_optimize_fast_value_matches_dense_value(cell):
-    # the path-table value against the dense and the brute-force oracle
+    # the lattice value against the brute-force rate of the dense joint
     build, s0, n, _ = GOLDEN_CELLS[cell]
     u = build()
     est = optimize_rate(u, s0, n, GOLDEN)
     joint = brute_joint(u, s0, est.policy)
-    dense = directed_information(JointLaw(joint.shape, joint), n) / n
-    assert est.value == pytest.approx(dense, abs=1e-12)
     assert est.value == pytest.approx(brute_directed_info(joint, n) / n, abs=1e-12)
 
 
@@ -1128,3 +1177,17 @@ def test_z_channel_closed_form_values():
 def test_z_channel_closed_form_domain(eps):
     with pytest.raises(DomainError):
         z_channel_closed_form(eps)
+
+
+def test_binary_entropy_values():
+    assert binary_entropy(0.0) == 0.0
+    assert binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == 1.0
+    assert binary_entropy(0.25) == pytest.approx(H2_QUARTER, abs=1e-15)
+    assert binary_entropy(0.25) == binary_entropy(0.75)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
+def test_binary_entropy_domain(p):
+    with pytest.raises(DomainError):
+        binary_entropy(p)

@@ -205,6 +205,12 @@ def test_load_rejects_bad_json():
         loads_channel("{oops")
 
 
+def test_load_refuses_an_int_too_long_to_read():
+    # Python reads no int of more than 4,300 digits
+    with pytest.raises(ValidationError, match="^channel file is not valid JSON: "):
+        loads_channel('{"x_size": ' + "1" * 5000 + "}")
+
+
 def test_fraction_probability_strings_validate():
     doc = {
         "format": "fsc-channel",
@@ -327,6 +333,9 @@ def test_a_record_checks_its_header_when_built(header):
     ({"optimizer": {"seed": {1}}}, "optimizer['seed']"),
     ({"params": {"k": np.int64(3)}}, "params['k']"),
     ({"params": {"k": [1, {"nested": {2}}]}}, "params['k']"),
+    # ints too long to print: named by their bit length, or by their key alone
+    ({"params": {"k": 10**5000}}, "params['k'] of 16,610 bits is"),
+    ({"params": {"k": [1, 10**5000]}}, "params['k'] is"),
 ])
 def test_a_record_refuses_a_header_value_it_could_not_write(header, where):
     with pytest.raises(ValidationError, match=r"not a JSON value") as err:

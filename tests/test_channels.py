@@ -21,8 +21,7 @@ from fscfb import (
     tv_distance,
 )
 import fscfb.channels
-from conftest import brute_indecomp_gap, brute_nfold, rand_fsc
-from oracle import StateBeliefTable, n_fold_law, state_marginal
+from conftest import brute_indecomp_gap, rand_fsc
 
 
 EPS = 0.25
@@ -75,9 +74,8 @@ def test_fsc_validation():
     [
         lambda t: UnifilarChannel(np.full((1, 2, 2), t), np.zeros((1, 2, 2), dtype=int)),
         lambda t: FiniteStateChannel(np.full((1, 2, 2, 1), t)),
-        lambda t: StateBeliefTable(np.array([t, t])),
     ],
-    ids=["unifilar", "general", "belief"],
+    ids=["unifilar", "general"],
 )
 def test_validation_rejects_non_finite_entries(build, bad):
     with pytest.raises(ValidationError):
@@ -114,79 +112,6 @@ def test_compose_rows_inherit_stochasticity(rng):
         law = compose_unifilar(u).law
         # composing only relocates mass, so the row sums match bit for bit
         assert np.array_equal(law.sum(axis=(2, 3)), u.w.sum(axis=2))
-
-
-def test_n_fold_law_base_case():
-    c = compose_unifilar(mixing_pair(EPS, 0.25).channel)
-    table = n_fold_law(c, [1], 0, 1)
-    assert np.array_equal(table, c.law[0, 1])
-
-
-def test_n_fold_law_noiseless_path():
-    c = compose_unifilar(noiseless_z_pair(EPS).channel)
-    table = n_fold_law(c, [0, 1], 0, 2)
-    assert table[0, 1, 0] == 1.0
-    assert table.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_n_fold_law_matches_path_enumeration():
-    c = compose_unifilar(mixing_pair(EPS, 0.25).channel)
-    table = n_fold_law(c, [0, 1], 1, 2)
-    brute = brute_nfold(c.law, [0, 1], 1)
-    for ys_s, p in brute.items():
-        assert table[ys_s] == pytest.approx(p, abs=1e-14)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_n_fold_recursion_on_random_channels(rng, n):
-    for _ in range(5):
-        c = rand_fsc(rng)
-        xs = rng.integers(0, 2, size=n).tolist()
-        s0 = int(rng.integers(0, 2))
-        table = n_fold_law(c, xs, s0, n)
-        brute = brute_nfold(c.law, xs, s0)
-        for key, p in brute.items():
-            assert table[key] == pytest.approx(p, abs=1e-13)
-
-
-def test_n_fold_law_rejects_bad_symbols():
-    c = compose_unifilar(noiseless_z_pair(EPS).channel)
-    with pytest.raises(IndexError):
-        n_fold_law(c, [0, 2], 0, 2)
-    with pytest.raises(IndexError):
-        n_fold_law(c, [0, 0], 5, 2)
-    with pytest.raises(ShapeError):
-        n_fold_law(c, [0], 0, 2)
-
-
-def test_n_fold_law_and_state_marginal_reject_bad_horizons():
-    c = compose_unifilar(noiseless_z_pair(EPS).channel)
-    with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
-        n_fold_law(c, [], 0, 0)
-    with pytest.raises(ValidationError, match="horizon must be >= 1, got -1"):
-        state_marginal(c, [], 0, -1)
-
-
-def test_state_marginal():
-    c = compose_unifilar(noiseless_z_pair(EPS).channel)
-    assert state_marginal(c, [0, 1, 0], 0, 3).values.tolist() == [1.0, 0.0]
-    # zero-horizon edge: point mass on the initial state
-    assert state_marginal(c, [], 1, 0).values.tolist() == [0.0, 1.0]
-
-
-def test_state_marginal_matches_path_enumeration():
-    c = compose_unifilar(mixing_pair(EPS, 0.25).channel)
-    got = state_marginal(c, [0, 0, 0], 1, 3).values
-    brute = brute_nfold(c.law, [0, 0, 0], 1)
-    expect = np.zeros(2)
-    for (y1, y2, y3, s), p in brute.items():
-        expect[s] += p
-    assert np.allclose(got, expect, atol=1e-14)
-
-
-def test_state_belief_validation():
-    with pytest.raises(ValidationError):
-        StateBeliefTable(np.array([0.5, 0.4]))
 
 
 def test_indecomposability_gap_single_state():
