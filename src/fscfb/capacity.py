@@ -26,7 +26,8 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
     ValidationError,
-    check_horizon,
+    check_at_least,
+    check_budget,
     describe_int,
 )
 
@@ -71,9 +72,8 @@ class OptimizerSettings:
                 f"optimizer setting max_iters must be a whole number, got {self.max_iters!r}")
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "tol", float(self.tol))
+        check_at_least("max_iters", self.max_iters, 0)
         # written so that NaN fails: a bracket never closes below a tol <= 0
-        if not self.max_iters >= 0:
-            raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.tol < np.inf:
             raise ValidationError(f"tol must be positive and finite, got {self.tol}")
 
@@ -81,21 +81,12 @@ class OptimizerSettings:
 def _check_cell(u: UnifilarChannel, s0: int, horizon: int):
     """Refuse, before anything is allocated, a horizon below 1, an initial
     state outside the channel and a lattice of more than
-    ``MAX_JOINT_ENTRIES`` transitions. The exponent stops at the limit's
-    bit length, where 2^N alone is over the limit, so a huge horizon is
-    refused without forming a power too long to print."""
-    check_horizon(horizon)
+    ``MAX_JOINT_ENTRIES`` transitions."""
+    check_at_least("horizon", horizon, 1)
     if not 0 <= s0 < u.s_size:
         raise DomainError(f"{describe_int('state', s0)} outside 0..{u.s_size - 1}")
-    capped = min(horizon, MAX_JOINT_ENTRIES.bit_length())
-    entries = u.s_size * u.x_size * u.y_size**capped
-    if entries > MAX_JOINT_ENTRIES:
-        raise ResourceLimitError(
-            f"{describe_int('horizon', horizon)} needs "
-            f"{'at least ' if capped < horizon else ''}{entries} "
-            f"lattice transitions, over the limit of {MAX_JOINT_ENTRIES}",
-            limit=MAX_JOINT_ENTRIES,
-        )
+    check_budget("horizon", horizon, lambda n: u.s_size * u.x_size * u.y_size**n,
+                 MAX_JOINT_ENTRIES, "lattice transitions")
 
 
 def _logsumexp(t, out=None):

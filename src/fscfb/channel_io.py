@@ -21,8 +21,7 @@ import numpy as np
 
 from .capacity import OptimizerSettings
 from .channels import FiniteStateChannel, UnifilarChannel, compose_unifilar
-from .errors import ValidationError, describe_int
-from .rational import as_fraction
+from .errors import DomainError, ValidationError, describe_int
 
 FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
@@ -59,7 +58,7 @@ class LoadedChannel:
             raise ValidationError(
                 f"kind {self.kind!r} does not match a {type(self.channel).__name__}")
         if self.s0 is not None and not (_is_int(self.s0) and 0 <= self.s0 < self.channel.s_size):
-            raise ValidationError(f"s0 = {self.s0!r} outside 0..{self.channel.s_size - 1}")
+            raise ValidationError(f"{_named('s0', self.s0)} outside 0..{self.channel.s_size - 1}")
         if not isinstance(self.params, dict):
             raise ValidationError(f"params must be an object, got {self.params!r}")
         if not isinstance(self.optimizer, dict):
@@ -69,7 +68,7 @@ class LoadedChannel:
             raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
         OptimizerSettings(**{k: v for k, v in self.optimizer.items() if k in SETTING_KEYS})
         _check_json(self.label, "label")
-        for name, block in (("params", _params_out(self.params)), ("optimizer", self.optimizer)):
+        for name, block in (("params", self.params), ("optimizer", self.optimizer)):
             for key, value in block.items():
                 _check_json(value, f"{name}[{key!r}]")
         # a table given as tuples, as loads_channel builds it, is kept as is
@@ -191,18 +190,48 @@ def loads_channel(text: str) -> LoadedChannel:
     return LoadedChannel("unifilar", channel, *header, exact_w)
 
 
+def as_fraction(value) -> Fraction:
+    """Coerce a parameter into an exact Fraction.
+
+    Strings accept both "p/q" and decimal forms; floats convert exactly
+    (binary expansion), so prefer strings or Fractions for dyadic inputs.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise DomainError("booleans are not probabilities")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot parse {value!r} as a rational number") from exc
+    if isinstance(value, float):
+        return Fraction(value)
+    raise DomainError(f"cannot interpret {type(value).__name__} as a rational number")
+
+
 def _is_int(value) -> bool:
     """Whether a JSON value is an integer: ``true`` is not 1."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _named(where: str, value) -> str:
+    """``where`` and a header value as a refusal names them, "s0 = 7"."""
+    if isinstance(value, (int, Fraction)):
+        return describe_int(where, value, " = ")
+    return f"{where} = {value!r}"
+
+
 def _check_json(value, where: str):
-    """Refuse a header value ``dumps_channel`` could not write, naming where it sits."""
+    """Refuse a header value ``dumps_channel`` could not write, naming where
+    it sits. A Fraction is written as "p/q"."""
     try:
-        json.dumps(value)
+        json.dumps(str(value) if isinstance(value, Fraction) else value)
     except (TypeError, ValueError) as exc:
         try:
-            named = describe_int(where, value, " = ") if _is_int(value) else f"{where} = {value!r}"
+            named = _named(where, value)
         except ValueError:  # it holds an int too long to print
             named = where
         raise ValidationError(f"{named} is not a JSON value: {exc}") from exc
@@ -224,6 +253,15 @@ def _table_out(node):
     if isinstance(node, (list, tuple)):
         return [_table_out(v) for v in node]
     return _prob_out(node)
+
+
+def _too_long_entry(w, shape) -> str:
+    """The first entry of ``w`` that str() refuses, named by its path."""
+    for s, x, y in np.ndindex(shape):
+        try:
+            str(w[s][x][y])
+        except ValueError:
+            return describe_int(_path(("w", s, x, y)), w[s][x][y])
 
 
 def _params_out(params: dict):
@@ -248,7 +286,12 @@ def dumps_channel(loaded: LoadedChannel) -> str:
     if loaded.s0 is not None:
         doc["s0"] = loaded.s0
     if loaded.kind == "unifilar":
-        doc["w"] = _table_out(loaded.exact_w)
+        try:
+            doc["w"] = _table_out(loaded.exact_w)
+        except ValueError:  # an exact entry with more than 4,300 digits
+            raise ValidationError(
+                f"{_too_long_entry(loaded.exact_w, ch.w.shape)} has too many digits to write"
+            ) from None
         doc["f"] = np.asarray(ch.f).tolist()
     else:
         doc["law"] = _table_out(ch.law.tolist())

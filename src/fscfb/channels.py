@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError, ValidationError, check_horizon, describe_int
+from .errors import ShapeError, ValidationError, check_at_least, check_budget
 
 ROW_SUM_TOL = 1e-12       # stochasticity tolerance at validation time
 INDECOMP_BUDGET = 10**7   # |X|^n * |S|^2 entries an exhaustive sweep may touch
@@ -157,20 +157,11 @@ def indecomposability_gaps(c: FiniteStateChannel, n: int) -> list[float]:
     max_{s_0} - min_{s_0} over the columns. The order of the input
     sequences never matters to a max. Levels of more than ``_GAP_BLOCK``
     floats are swept one input prefix at a time. Refuses horizons whose
-    sweep would touch more than ``INDECOMP_BUDGET`` table entries. The
-    exponent stops at the budget's bit length, where 2^n alone is over it.
+    sweep would touch more than ``INDECOMP_BUDGET`` table entries.
     """
-    check_horizon(n)
+    check_at_least("horizon", n, 1)
     s, x = c.s_size, c.x_size
-    capped = min(n, INDECOMP_BUDGET.bit_length())
-    cost = (x**capped) * s * s
-    if cost > INDECOMP_BUDGET:
-        raise ResourceLimitError(
-            f"{describe_int('horizon', n)} needs an exhaustive sweep of "
-            f"{'at least ' if capped < n else ''}{cost} "
-            f"entries, over the budget of {INDECOMP_BUDGET}",
-            limit=INDECOMP_BUDGET,
-        )
+    check_budget("horizon", n, lambda k: x**k * s * s, INDECOMP_BUDGET, "sweep entries")
     # kernel[s_prev, (x, s_next)]: the one-step state kernels, outputs summed
     # out, side by side
     kernel = c.law.sum(axis=2).reshape(s, x * s)

@@ -35,7 +35,7 @@ from .channels import (
     strongly_connected,
     tv_distance,
 )
-from .errors import DomainError, FscError, ValidationError, check_horizon
+from .errors import DomainError, FscError, ValidationError, check_at_least
 from .gallery import (
     extend_alphabets,
     extend_states,
@@ -43,7 +43,6 @@ from .gallery import (
     mixing_pair,
     noiseless_z_pair,
 )
-from .rational import as_fraction
 from .reduction import (
     CounterMachineOracle,
     FixedHaltingOracle,
@@ -62,8 +61,6 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, Fraction):
-        return str(v)
     if v is None:
         return ""
     return str(v)
@@ -233,7 +230,7 @@ def _estimate_row(n, s0_label, est, upper, tol):
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
     cfg = _resolve_settings(args, loaded.optimizer)
-    check_horizon(args.n)  # also where no cell runs to refuse it
+    check_at_least("horizon", args.n, 1)  # also where no cell runs to refuse it
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
     s0 = _given(args.s0, loaded.s0)
@@ -259,7 +256,7 @@ def cmd_directed_info(args):
     s0 = _given(args.s0, loaded.s0, 0)
     if args.dist is not None:  # an empty --dist is a malformed law, not a missing one
         try:
-            dist = np.array([float(as_fraction(tok)) for tok in args.dist.split(",")])
+            dist = np.array([float(channel_io.as_fraction(tok)) for tok in args.dist.split(",")])
         except DomainError as exc:
             raise DomainError(f"input law {args.dist!r}: {exc}") from None
         policy_name = "iid"
@@ -335,13 +332,13 @@ def cmd_gallery(args):
 
 
 def cmd_discontinuity_demo(args):
-    eps = as_fraction(args.eps)
+    eps = channel_io.as_fraction(args.eps)
     ks = [int(tok) for tok in args.k_list.split(",") if tok]
     cfg = _resolve_settings(args, {})
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
-    check_horizon(args.n)
+    check_at_least("horizon", args.n, 1)
     rows = [
         {
             "k": "inf",

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel_io import LoadedChannel
+from .capacity import MAX_JOINT_ENTRIES
+from .channel_io import LoadedChannel, as_fraction
 from .channels import UnifilarChannel
-from .errors import DomainError
-from .rational import as_fraction
+from .errors import BIT_BUDGET, DomainError, check_at_least, check_budget, describe_int
 
 _HALF = Fraction(1, 2)
 
@@ -42,7 +42,7 @@ def _switch_pair(eps, mix: Fraction, label: str, /, **params) -> LoadedChannel:
     recorded params, so a file lists it first."""
     eps = as_fraction(eps)
     if not 0 < eps < _HALF:
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
+        raise DomainError(f"{describe_int('eps', eps, ' = ')} outside (0, 1/2)")
     one = Fraction(1)
     w = [
         [[one - mix, mix], [mix, one - mix]],
@@ -68,15 +68,14 @@ def mixing_pair(eps, mix) -> LoadedChannel:
     """
     mix = as_fraction(mix)
     if not 0 <= mix <= _HALF:
-        raise DomainError(f"mix must lie in [0, 1/2], got {mix}")
+        raise DomainError(f"{describe_int('mix', mix, ' = ')} outside [0, 1/2]")
     return _switch_pair(eps, mix, "mixing", mix=mix)
 
 
 def inverse_k_pair(eps, k: int) -> LoadedChannel:
     """The mixing channel at mix = 1/k; distance 2/k from the noiseless/Z pair."""
     k = int(k)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1, DomainError)
     return _switch_pair(eps, Fraction(1, k), "inverse-k", k=k)
 
 
@@ -87,6 +86,7 @@ def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChanne
     new input symbols replay input 0's output law; every pair involving a
     new symbol freezes the state. No policy can extract anything from the
     added symbols, so rates and the support graph's verdicts are unchanged.
+    Over ``MAX_JOINT_ENTRIES`` entries, a horizon-1 lattice's, are refused.
     """
     x_size, y_size = int(x_size), int(y_size)
     s_size, old_x, old_y = g.channel.w.shape
@@ -95,6 +95,8 @@ def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChanne
             f"alphabets can only grow: have ({old_x}, {old_y}), "
             f"asked for ({x_size}, {y_size})"
         )
+    check_budget("x_size * y_size", x_size * y_size, lambda xy: s_size * xy,
+                 MAX_JOINT_ENTRIES, "table entries")
     zero = Fraction(0)
     w = [
         [[zero] * y_size for _ in range(x_size)]
@@ -123,21 +125,26 @@ def extend_states(g: LoadedChannel, s_size: int) -> LoadedChannel:
     chains the new states: state 0's (0,1) pair now enters state 2,
     intermediate states advance on (0,1) and fall back to 0 on any other
     supported pair, zero-probability pairs freeze, and the last state sends
-    every supported pair back to 0.
+    every supported pair back to 0. Over ``BIT_BUDGET`` denominator bits, about
+    log2(b) s_size^2 / 2 for 1/2 - eps = a/b, or ``MAX_JOINT_ENTRIES`` table
+    entries, as for ``extend_alphabets``, are refused before any table.
     """
     s_size = int(s_size)
-    if s_size < 2:
-        raise DomainError(f"state count must be >= 2, got {s_size}")
+    check_at_least("state count", s_size, 2, DomainError)
     if g.channel.s_size != 2:
         raise DomainError("state extension starts from the two-state family")
     eps = g.params.get("eps")
     if eps is None:
         raise DomainError("base channel does not record its eps parameter")
     eps = as_fraction(eps)
+    step = (_HALF - eps).denominator.bit_length()
+    check_budget("s_size", s_size, lambda s: step * s * s // 2, BIT_BUDGET, "denominator bits")
+    _, x_size, y_size = g.channel.w.shape
+    check_budget("s_size", s_size, lambda s: s * x_size * y_size, MAX_JOINT_ENTRIES,
+                 "table entries")
     if s_size == 2:
         return g
 
-    _, x_size, y_size = g.channel.w.shape
     zero, one = Fraction(0), Fraction(1)
     w = [[list(row) for row in state] for state in g.exact_w]
     f = [[[int(v) for v in row] for row in state] for state in np.asarray(g.channel.f)]

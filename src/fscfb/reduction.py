@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, OracleError, ResourceLimitError, describe_int
-
-_BIT_BUDGET = 10**7  # denominator bits, m_max (m_max + 1) / 2, a sequence may hold
+from .errors import BIT_BUDGET, DomainError, OracleError, check_budget, describe_int
 
 
 class FixedHaltingOracle:
@@ -147,20 +145,12 @@ def lambda_sequence(oracle, n: int, m_max: int) -> list:
 
     The query at m_max gives l = min(h, m_max) for the halting step h, and
     lambda(n, m) = 2^(-min(l, m)). The values are exact, so their
-    denominators hold m_max (m_max + 1) / 2 bits; more than ``_BIT_BUDGET``
-    is refused before the oracle is asked. Past ``_BIT_BUDGET`` itself,
-    m_max alone is over the budget and the count is not formed; an m_max
-    below 1 counts no bits and is refused as an index.
+    denominators hold m_max (m_max + 1) / 2 bits; more than ``BIT_BUDGET``
+    is refused before the oracle is asked. An m_max below 1 counts no bits
+    and is refused as an index.
     """
-    capped = max(0, min(m_max, _BIT_BUDGET))
-    bits = capped * (capped + 1) // 2
-    if bits > _BIT_BUDGET:
-        raise ResourceLimitError(
-            f"{describe_int('m_max', m_max, ' = ')} needs "
-            f"{'at least ' if capped < m_max else ''}{bits} "
-            f"denominator bits, over the budget of {_BIT_BUDGET}",
-            limit=_BIT_BUDGET,
-        )
+    check_budget("m_max", m_max, lambda m: max(m, 0) * (m + 1) // 2, BIT_BUDGET,
+                 "denominator bits")
     last = lambda_double_sequence(oracle, n, m_max)
     halt = last.denominator.bit_length() - 1
     return [Fraction(1, 2**m) for m in range(1, halt)] + [last] * (m_max - halt + 1)

@@ -92,10 +92,6 @@ class CausalPolicy:
         )
         return CausalPolicy(horizon, x_size, y_size, steps)
 
-    def free_parameter_count(self) -> int:
-        pair = self.x_size * self.y_size
-        return sum(pair ** (n - 1) * (self.x_size - 1) for n in range(1, self.horizon + 1))
-
 
 def _path_tables(
     u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES, factors=None

@@ -32,8 +32,9 @@ from fscfb import (
     optimize_rate,
     z_channel_closed_form,
 )
-from fscfb import capacity, reduction
+from fscfb import capacity
 from fscfb.channels import INDECOMP_BUDGET
+from fscfb.errors import BIT_BUDGET
 from fscfb.cli import main
 from fscfb.capacity import _ascend, _Lattice, _secant
 from conftest import (
@@ -80,11 +81,7 @@ def trapdoor():
     return UnifilarChannel(w, f)
 
 
-def test_policy_validation_and_parameter_count():
-    pol = CausalPolicy.uniform(2, 2, 3)
-    assert pol.free_parameter_count() == (1 + 4 + 16) * 1
-    pol3 = CausalPolicy.uniform(3, 2, 2)
-    assert pol3.free_parameter_count() == 1 * 2 + 6 * 2
+def test_policy_validation():
     with pytest.raises(ValidationError):
         CausalPolicy(1, 2, 2, (np.array([[0.5, 0.6]]),))
     with pytest.raises(ShapeError):
@@ -521,7 +518,7 @@ HUGE = 10**5000
      (ValidationError, "horizon must be >= 1, got a value of 16,610 bits")),
     (lambda u, c, oracle, h: indecomposability_gaps(c, h), INDECOMP_BUDGET, 30,
      (ValidationError, "horizon must be >= 1, got a value of 16,610 bits")),
-    (lambda u, c, oracle, h: lambda_sequence(oracle, 1, h), reduction._BIT_BUDGET, 5000,
+    (lambda u, c, oracle, h: lambda_sequence(oracle, 1, h), BIT_BUDGET, 5000,
      (DomainError, "indices must be >= 1, got n=1, m of 16,610 bits")),
 ], ids=["optimize_rate", "iid_rate", "indecomposability_gaps", "lambda_sequence"])
 @pytest.mark.parametrize("value", ["huge", "np.int64", "-huge"])
@@ -683,16 +680,31 @@ def test_optimize_iteration_cap_leaves_the_bracket_open():
     assert est.upper - est.value > cfg.tol
 
 
-class ColumnCheckedLattice(_Lattice):
-    """A lattice that checks every policy the solver evaluates: no NaN, and
-    every column a distribution, so its largest entry is at least
-    ln 1/|X| and no column is all -inf."""
+def underflowed(theta):
+    """The finite entries of a log-policy whose probability is exactly 0."""
+    return np.isfinite(theta) & (np.exp(theta) == 0.0)
+
+
+class CheckedLattice(_Lattice):
+    """A lattice that checks every policy the solver evaluates and every
+    iterate it moves to, and keeps the rate of the last policy it evaluated:
+    when ``_ascend`` stops, that of its final iterate. ``forward`` checks
+    that no entry is NaN and every column is a distribution, so its largest
+    entry is at least ln 1/|X| and no column is all -inf; ``backward``, run
+    on the last accepted policy, that every column is a distribution with
+    no finite entry whose probability is 0."""
 
     def forward(self, theta):
         x = theta.shape[0]
         assert np.all(theta.max(axis=0) >= -np.log(x) - 1e-12)
         np.testing.assert_allclose(np.exp(theta).sum(axis=0), 1.0, rtol=0, atol=1e-12)
-        return super().forward(theta)
+        self.last, exact = super().forward(theta)
+        return self.last, exact
+
+    def backward(self, out, admit=None):
+        np.testing.assert_allclose(np.exp(self.theta).sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert not underflowed(self.theta).any()
+        return super().backward(out, admit)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -701,7 +713,7 @@ def test_face_restriction_closes_the_degenerate_trapdoor_cells(n):
     under the update; dropped to exactly 0, it no longer holds the bracket
     open, which closes within 400 updates where 2,000 left it at ~1e-9."""
     cfg = OptimizerSettings(max_iters=400)
-    model = ColumnCheckedLattice(trapdoor(), 0, n)
+    model = CheckedLattice(trapdoor(), 0, n)
     with np.errstate(invalid="raise", divide="raise"):
         _, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)), cfg)
     assert upper - value < cfg.tol
@@ -713,22 +725,13 @@ def test_face_restriction_closes_the_degenerate_trapdoor_cells(n):
     assert est.diagnostics == {**counts, "converged": True}
 
 
-class RecordingLattice(_Lattice):
-    """A lattice that keeps the rate of the last policy it evaluated: when
-    ``_ascend`` stops, that of its final iterate."""
-
-    def forward(self, theta):
-        self.last, exact = super().forward(theta)
-        return self.last, exact
-
-
 def test_face_restriction_never_lowers_the_reported_rate():
     """A change of face can lower the rate: on the trapdoor at N = 10, the
     522 inputs dropped at update 32 cost the iterate 4e-9. A run reports the
     best policy it saw, so its rate never falls as the iteration cap grows."""
     values, iterates, pruned = [], [], []
     for cap in range(29, 36):
-        model = RecordingLattice(trapdoor(), 0, 10)
+        model = CheckedLattice(trapdoor(), 0, 10)
         _, value, _, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)),
                                       OptimizerSettings(max_iters=cap))
         values.append(value)
@@ -802,11 +805,6 @@ def test_secant_history_closes_the_trapdoor_cells_within_sixty_updates(n):
         assert est.diagnostics["converged"]
 
 
-def underflowed(theta):
-    """The finite entries of a log-policy whose probability is exactly 0."""
-    return np.isfinite(theta) & (np.exp(theta) == 0.0)
-
-
 @pytest.mark.parametrize("s0", [0, 1])
 def test_underflowed_inputs_are_dropped_so_the_deep_trapdoor_closes(s0):
     """An over-relaxed step can leave an input at theta = -12,194: finite, so
@@ -823,15 +821,6 @@ def test_underflowed_inputs_are_dropped_so_the_deep_trapdoor_closes(s0):
     assert value >= 0.6765579871
 
 
-class UnderflowCheckedLattice(_Lattice):
-    """A lattice that checks every iterate the update is computed from: no
-    finite entry whose probability is 0."""
-
-    def backward(self, out, admit=None):
-        assert not underflowed(self.theta).any()
-        return super().backward(out, admit)
-
-
 @pytest.mark.parametrize("seed", [199, 4468])
 def test_plain_updates_drop_their_underflowed_inputs_too(seed):
     """Not only an over-relaxed trial can push a probability to 0: on these
@@ -841,7 +830,7 @@ def test_plain_updates_drop_their_underflowed_inputs_too(seed):
     n = int(rng.integers(1, 4 if x * y == 4 else 3))
     w = stochastic(rng, (s, x, y), zeros=bool(rng.integers(0, 2)))
     u = UnifilarChannel(w, rng.integers(0, s, size=(s, x, y)))
-    model = UnderflowCheckedLattice(u, int(rng.integers(0, s)), n)
+    model = CheckedLattice(u, int(rng.integers(0, s)), n)
     _ascend(model, np.full(model.theta_shape, -np.log(x)), OptimizerSettings(max_iters=200))
 
 
@@ -927,7 +916,7 @@ def test_ascent_keeps_every_trial_finite_once_the_rate_is_flat():
     """Past convergence every over-relaxed trial ties with the rate to
     rounding and is accepted; omega is capped, so the steps never overflow
     into a NaN policy."""
-    model = ColumnCheckedLattice(mixing_pair(0.25, 0.125).channel, 0, 2)
+    model = CheckedLattice(mixing_pair(0.25, 0.125).channel, 0, 2)
     cfg = OptimizerSettings(max_iters=2000, tol=1e-300)  # a bracket no rounding reaches
     with np.errstate(invalid="raise", over="raise"):
         _, value, upper, counts = _ascend(model, np.full(model.theta_shape, -np.log(2)), cfg)
@@ -942,7 +931,7 @@ def test_face_restriction_readmits_an_input_the_optimum_needs(dropped):
     passes its node's z (a KKT violation); without input 0 the policy never
     emits output 0, which no optimum misses."""
     eps = 0.25
-    model = ColumnCheckedLattice(single_state([[1 - eps, eps], [0.0, 1.0]]), 0, 1)
+    model = CheckedLattice(single_state([[1 - eps, eps], [0.0, 1.0]]), 0, 1)
     theta = np.zeros(model.theta_shape)
     theta[dropped] = -np.inf
     theta, value, upper, counts = _ascend(model, theta, FAST)
@@ -1032,7 +1021,7 @@ def test_bracket_from_a_start_on_a_face_overlaps_the_uniform_start(cell):
     bracket overlaps the one from the uniform start."""
     rng, u, s0, n = cell
     cfg = OptimizerSettings(max_iters=200)
-    model = ColumnCheckedLattice(u, s0, n)
+    model = CheckedLattice(u, s0, n)
     with np.errstate(divide="ignore"):
         theta = np.log(stochastic(rng, model.theta_shape[::-1], zeros=True)).T.copy()
     theta, value, upper, _ = _ascend(model, theta, cfg)
@@ -1053,20 +1042,11 @@ def test_normalize_keeps_a_far_column_on_the_simplex(offsets):
     assert shift == pytest.approx(-1.8e15, rel=1e-15)
 
 
-class IterateCheckedLattice(_Lattice):
-    """A lattice that checks the policy of every iterate ``_ascend`` moves
-    to: ``backward`` runs on the last accepted policy."""
-
-    def backward(self, out, admit=None):
-        np.testing.assert_allclose(np.exp(self.theta).sum(axis=0), 1.0, rtol=0, atol=1e-12)
-        return super().backward(out, admit)
-
-
 @settings(max_examples=40, deadline=None)
 @given(unifilar_cells())
 def test_every_accepted_iterate_is_a_policy(cell):
     rng, u, s0, n = cell
-    model = IterateCheckedLattice(u, s0, n)
+    model = CheckedLattice(u, s0, n)
     with np.errstate(divide="ignore"):
         theta = np.log(stochastic(rng, model.theta_shape[::-1], zeros=True)).T.copy()
     _ascend(model, theta, OptimizerSettings(max_iters=200))

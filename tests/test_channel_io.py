@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscfb import (
+    DomainError,
     FiniteStateChannel,
     FscError,
     LoadedChannel,
+    OptimizerSettings,
     UnifilarChannel,
     ValidationError,
     compose_unifilar,
@@ -209,6 +211,35 @@ def test_load_refuses_an_int_too_long_to_read():
     # Python reads no int of more than 4,300 digits
     with pytest.raises(ValidationError, match="^channel file is not valid JSON: "):
         loads_channel('{"x_size": ' + "1" * 5000 + "}")
+
+
+# 10^5000 has 16,610 bits and over 4,300 digits, too many to print
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: OptimizerSettings(max_iters=-HUGE), ValidationError,
+     r"^max_iters must be >= 0, got a value of 16,610 bits$"),
+    (lambda: replace(noiseless_z_pair("1/4"), s0=HUGE), ValidationError,
+     r"^s0 of 16,610 bits outside 0\.\.1$"),
+    (lambda: noiseless_z_pair(Fraction(1, HUGE)), ValidationError,
+     r"^params\['eps'\] of 16,610 bits is not"),
+    (lambda: mixing_pair("1/4", Fraction(1, HUGE)), ValidationError,
+     r"^params\['mix'\] of 16,610 bits is not"),
+    # eps has 1,001 digits, so state s holds (1/2 - eps)^(s - 1) with over
+    # 1,000 (s - 1) digits: state 6's has over 5,000
+    (lambda: dumps_channel(extend_states(noiseless_z_pair(Fraction(1, 4 * 10**1000)), 7)),
+     ValidationError, r"^w\[6\]\[0\]\[0\] of [\d,]+ bits has too many digits to write$"),
+    (lambda: noiseless_z_pair(Fraction(HUGE)), DomainError,
+     r"^eps of 16,610 bits outside \(0, 1/2\)$"),
+    (lambda: inverse_k_pair("1/4", -HUGE), DomainError,
+     r"^k must be >= 1, got a value of 16,610 bits$"),
+    (lambda: extend_states(noiseless_z_pair("1/4"), -HUGE), DomainError,
+     r"^state count must be >= 2, got a value of 16,610 bits$"),
+], ids=["max_iters", "s0", "eps", "mix", "w-entry", "eps-range", "k-range", "state-count"])
+def test_values_too_long_to_print_are_refused_by_their_bit_length(build, error, named):
+    with pytest.raises(error, match=named):
+        build()
 
 
 def test_fraction_probability_strings_validate():

@@ -135,6 +135,17 @@ def test_gallery_missing_parameter_fails(tmp_path, capsys):
     assert "needs --k" in err
 
 
+@pytest.mark.parametrize("sizes", [("extend-states", "--s", "1000000000"),
+                                   ("extend-alphabets", "--x", "100000", "--y", "100000")])
+def test_gallery_refuses_an_extension_over_its_budget(tmp_path, capsys, sizes):
+    path = tmp_path / "big.json"
+    code, out, err = run_cli(capsys, "gallery", sizes[0], "--eps", "1/4", *sizes[1:],
+                             "--out", str(path))
+    assert code == 2
+    assert out == "" and "over the limit of" in err
+    assert not path.exists()
+
+
 def test_validate_frozen_channel(frozen_channel, capsys):
     code, out, _ = run_cli(capsys, "validate", str(frozen_channel), "--format", "csv")
     assert code == 0
@@ -433,7 +444,7 @@ def test_lambda_seq_refuses_an_m_max_over_the_bit_budget(capsys, monkeypatch):
         capsys, "lambda-seq", "--mock", "never", "--input", "1", "--m-max", "4472"
     )
     assert code == 2
-    assert out == "" and err.startswith("error: m_max = 4472 needs 10001628 denominator bits")
+    assert out == "" and err.startswith("error: m_max 4472 needs 10001628 denominator bits")
     assert queries == []
 
 

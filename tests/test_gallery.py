@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from fscfb import (
     DomainError,
     LoadedChannel,
     OptimizerSettings,
+    ResourceLimitError,
     compose_unifilar,
     dumps_channel,
     extend_alphabets,
@@ -21,6 +24,8 @@ from fscfb import (
     strongly_connected,
     tv_distance,
 )
+from fscfb.capacity import MAX_JOINT_ENTRIES
+from fscfb.errors import BIT_BUDGET
 
 HALF = Fraction(1, 2)
 FAST = OptimizerSettings()
@@ -205,6 +210,43 @@ def test_extend_states_guards():
         extend_states(mixing_pair("1/4", "1/4"), 1)
     with pytest.raises(DomainError):
         extend_states(extend_states(mixing_pair("1/4", "1/4"), 3), 4)
+
+
+@pytest.mark.parametrize("build, limit", [
+    (lambda g: extend_states(g, 10**5000), BIT_BUDGET),
+    (lambda g: extend_states(g, 10**6), BIT_BUDGET),
+    (lambda g: extend_alphabets(g, 10**6, 10**6), MAX_JOINT_ENTRIES),
+], ids=["states-huge", "states", "alphabets"])
+def test_extensions_over_their_budget_are_refused_before_any_table_is_built(build, limit):
+    g = mixing_pair("1/4", "1/4")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="needs at least") as err:
+            build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.limit == limit
+    assert time.perf_counter() - start < 1.0
+    assert peak < 100_000
+
+
+def test_extension_budgets_at_their_edge():
+    def refused(build, message):
+        with pytest.raises(ResourceLimitError, match=f"^{message}, over the limit of "):
+            build()
+
+    # 1/2 - 1/4 = 1/4 has a 3-bit denominator: s states cost 3 s^2 / 2 bits
+    g = mixing_pair("1/4", "1/4")
+    assert extend_states(g, 2581).channel.s_size == 2581
+    refused(lambda: extend_states(g, 2582), "s_size 2582 needs 10000086 denominator bits")
+    # two states: x y <= 2^19 entries per state
+    refused(lambda: extend_alphabets(g, 512, 1025),
+            r"x_size \* y_size 524800 needs 1049600 table entries")
+    # the states of a grown alphabet share that budget
+    refused(lambda: extend_states(extend_alphabets(g, 32, 32), 1025),
+            "s_size 1025 needs 1049600 table entries")
 
 
 def test_extension_order_alphabets_after_states():
