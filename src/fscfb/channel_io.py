@@ -2,11 +2,12 @@
 
 JSON with fields ``x_size``, ``y_size``, ``s_size``, then either ``w`` +
 ``f`` (unifilar, both nested [s'][x][y]) or ``law`` (general,
-[s'][x][y][s]). Probabilities may be JSON numbers or exact fraction
-strings like "1/4"; a unifilar ``w`` is kept and echoed entry by entry as
-given. An optional ``s0``, a free-form ``label``/``params`` pair, and an
-``optimizer`` settings block are carried through, checked once, when the
-``LoadedChannel`` record is built. Files are UTF-8.
+[s'][x][y][s]), which an optional ``kind`` must name. Probabilities may be
+JSON numbers or exact fraction strings like "1/4"; a unifilar ``w`` is kept
+and echoed entry by entry as given. An optional ``s0``, a free-form
+``label``/``params`` pair, and an ``optimizer`` settings block are carried
+through, checked once, when the ``LoadedChannel`` record is built. Files
+are UTF-8.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
 
 SETTING_KEYS = tuple(setting.name for setting in fields(OptimizerSettings))
-# read, for files written for the old multi-start optimizer, and ignored
-# with a warning: the solver is deterministic and runs once
-IGNORED_KEYS = ("restarts", "seed")
 _KINDS = {"unifilar": UnifilarChannel, "general": FiniteStateChannel}
 
 
@@ -38,11 +36,10 @@ class LoadedChannel:
     """A channel with its file header: a loaded file, or a gallery channel
     with the exact tables and parameters behind it. The header is checked
     when the record is built: ``kind`` names the channel's class, ``s0`` is
-    None or a state of the channel,
-    ``params`` an object, and ``optimizer`` an object whose keys are
-    ``SETTING_KEYS`` or ``IGNORED_KEYS``, with valid settings; the label
-    and every value of both objects must be writable as JSON (a Fraction
-    in ``params`` is written as "p/q")."""
+    None or a state of the channel, ``params`` an object, and ``optimizer``
+    an object whose keys are ``SETTING_KEYS``, with valid settings; the
+    label and every value of both objects must be writable as JSON (a
+    Fraction in ``params`` is written as "p/q")."""
 
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
@@ -63,10 +60,10 @@ class LoadedChannel:
             raise ValidationError(f"params must be an object, got {self.params!r}")
         if not isinstance(self.optimizer, dict):
             raise ValidationError(f"optimizer block must be an object, got {self.optimizer!r}")
-        unknown = set(self.optimizer) - set(SETTING_KEYS + IGNORED_KEYS)
+        unknown = set(self.optimizer) - set(SETTING_KEYS)
         if unknown:
             raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
-        OptimizerSettings(**{k: v for k, v in self.optimizer.items() if k in SETTING_KEYS})
+        OptimizerSettings(**self.optimizer)
         _check_json(self.label, "label")
         for name, block in (("params", self.params), ("optimizer", self.optimizer)):
             for key, value in block.items():
@@ -75,6 +72,19 @@ class LoadedChannel:
         if self.kind == "unifilar" and not isinstance(self.exact_w, tuple):
             given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
             self.exact_w = _tupled(given)
+
+    def exact_table(self) -> tuple:
+        """``exact_w``, refused at its first entry whose float is not the
+        channel's: a stale table, as when the record's channel was swapped."""
+        w = self.channel.w
+        floats = [[[float(v) for v in row] for row in state] for state in self.exact_w]
+        if floats != w.tolist():
+            floats = np.array(floats)
+            if floats.shape != w.shape:
+                raise ValidationError(f"exact w has shape {floats.shape}, the channel's {w.shape}")
+            at = tuple(np.argwhere(floats != w)[0])
+            raise ValidationError(f"exact {_path(('w', *at))} is stale: the channel has {w[at]}")
+        return self.exact_w
 
     def as_general(self) -> FiniteStateChannel:
         if self.kind == "general":
@@ -177,7 +187,12 @@ def loads_channel(text: str) -> LoadedChannel:
 
     header = data.get("s0"), data.get("label"), data.get("params", {}), data.get("optimizer", {})
     shape = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
-    if "law" in data:
+    kind = "general" if "law" in data else "unifilar"
+    if kind == "general" and ("w" in data or "f" in data):
+        raise ValidationError("channel file holds both 'law' and 'w'/'f'")
+    if data.get("kind", kind) != kind:
+        raise ValidationError(f"kind {data['kind']!r} does not name the file's tables")
+    if kind == "general":
         _, law = _prob_table(data["law"], shape + shape[:1], "law")
         channel = FiniteStateChannel(law)
         return LoadedChannel("general", channel, *header)
@@ -286,11 +301,12 @@ def dumps_channel(loaded: LoadedChannel) -> str:
     if loaded.s0 is not None:
         doc["s0"] = loaded.s0
     if loaded.kind == "unifilar":
+        exact_w = loaded.exact_table()
         try:
-            doc["w"] = _table_out(loaded.exact_w)
+            doc["w"] = _table_out(exact_w)
         except ValueError:  # an exact entry with more than 4,300 digits
             raise ValidationError(
-                f"{_too_long_entry(loaded.exact_w, ch.w.shape)} has too many digits to write"
+                f"{_too_long_entry(exact_w, ch.w.shape)} has too many digits to write"
             ) from None
         doc["f"] = np.asarray(ch.f).tolist()
     else:

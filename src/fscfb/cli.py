@@ -50,7 +50,8 @@ from .reduction import (
     lambda_sequence,
 )
 
-GALLERY_NAMES = ("noiseless-z", "mixing", "inverse-k", "extend-alphabets", "extend-states")
+# old flags, ignored with a warning: the solver is deterministic and runs once
+_IGNORED_FLAGS = ("restarts", "seed")
 # capacity --all-states: the min (max) row brackets the min (max) over initial
 # states of the horizon-N optima; the min of those upper-bounds the joint max-min
 _ALL_STATES_NOTE = "min over initial states of per-state maxima; not the joint max-min"
@@ -169,11 +170,8 @@ def _given(*values):
 
 def _resolve_settings(args, block: dict) -> OptimizerSettings:
     """Optimizer settings from the flags, the channel file's optimizer block
-    and the defaults. ``restarts`` and ``seed`` from either source are
-    ignored with a warning: the solver is deterministic and runs once."""
-    for key in channel_io.IGNORED_KEYS:
-        if key in block:
-            print(f"warning: the channel file's optimizer.{key} is ignored", file=sys.stderr)
+    and the defaults, after a warning for each ignored flag given."""
+    for key in _IGNORED_FLAGS:
         if getattr(args, key) is not None:
             print(f"warning: --{key} is ignored", file=sys.stderr)
     return OptimizerSettings(**{
@@ -291,43 +289,16 @@ def cmd_dmc_capacity(args):
     return [row], {}, loaded.digest
 
 
-def _build_gallery(args):
-    if args.name == "noiseless-z":
-        return noiseless_z_pair(args.eps)
-    if args.name == "mixing":
-        return mixing_pair(args.eps, args.mix)
-    if args.name == "inverse-k":
-        return inverse_k_pair(args.eps, args.k)
-    if args.name == "extend-alphabets":
-        base = mixing_pair(args.eps, args.mix)
-        return extend_alphabets(base, args.x, args.y)
-    base = mixing_pair(args.eps, args.mix)
-    return extend_states(base, args.s)
-
-
 def cmd_gallery(args):
-    if args.name in ("mixing", "extend-alphabets", "extend-states") and args.mix is None:
-        args.mix = "0"
-    if args.name == "inverse-k" and args.k is None:
-        raise DomainError("inverse-k needs --k")
-    if args.name == "extend-alphabets" and (args.x is None or args.y is None):
-        raise DomainError("extend-alphabets needs --x and --y")
-    if args.name == "extend-states" and args.s is None:
-        raise DomainError("extend-states needs --s")
-    g = _build_gallery(args)
+    g = GALLERY[args.name][1](args)
     text = channel_io.dumps_channel(g)
-    Path(args.out).write_text(text)
-    param_str = f"{args.name} eps={args.eps} mix={args.mix} k={args.k} x={args.x} y={args.y} s={args.s}"
-    rows = [
-        {
-            "label": g.label,
-            "x_size": g.channel.x_size,
-            "y_size": g.channel.y_size,
-            "s_size": g.channel.s_size,
-            "path": args.out,
-            "file_digest": channel_io.content_digest(text.encode()),
-        }
-    ]
+    Path(args.channel_out).write_text(text)
+    # None for a flag the construction does not take
+    param_str = " ".join([args.name] + [f"{key}={getattr(args, key, None)}"
+                                        for key in ("eps", *_GALLERY_FLAGS)])
+    rows = [{"label": g.label, "x_size": g.channel.x_size, "y_size": g.channel.y_size,
+             "s_size": g.channel.s_size, "path": args.channel_out,
+             "file_digest": channel_io.content_digest(text.encode())}]
     return rows, {}, channel_io.content_digest(param_str.encode())
 
 
@@ -379,8 +350,6 @@ def _parse_mock(spec: str, n: int):
 
 
 def cmd_lambda_seq(args):
-    if (args.program is None) == (args.mock is None):
-        raise DomainError("give exactly one of --program or --mock")
     if args.program == "":  # Path("") is the current directory
         raise DomainError("--program is empty; give the path of a program file")
     if args.program is not None:
@@ -431,7 +400,7 @@ def _add_output_flags(sp):
 
 
 def _add_optimizer_flags(sp):
-    for key in channel_io.IGNORED_KEYS:
+    for key in _IGNORED_FLAGS:
         sp.add_argument(f"--{key}", type=int, default=None, help="ignored; kept for old scripts")
     sp.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     sp.add_argument("--tol", type=float, default=None)
@@ -441,18 +410,19 @@ def _validate_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, default=6, help="horizon for the state-memory gap")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_validate, writes_report=True)
+    sp.set_defaults(handler=cmd_validate)
 
 
 def _capacity_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s0", type=int, default=None)
-    sp.add_argument("--all-states", action="store_true", dest="all_states")
+    start = sp.add_mutually_exclusive_group()
+    start.add_argument("--s0", type=int, default=None)
+    start.add_argument("--all-states", action="store_true", dest="all_states")
     sp.add_argument("--sweep-n", action="store_true", dest="sweep_n")
     _add_optimizer_flags(sp)
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_capacity, writes_report=True)
+    sp.set_defaults(handler=cmd_capacity)
 
 
 def _directed_info_args(sp):
@@ -461,27 +431,41 @@ def _directed_info_args(sp):
     sp.add_argument("--s0", type=int, default=None)
     sp.add_argument("--dist", default=None, help="comma-separated input distribution")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_directed_info, writes_report=True)
+    sp.set_defaults(handler=cmd_directed_info)
 
 
 def _dmc_capacity_args(sp):
     sp.add_argument("channel")
     sp.add_argument("--s0", type=int, default=None)
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_dmc_capacity, writes_report=True)
+    sp.set_defaults(handler=cmd_dmc_capacity)
+
+
+# the flags a gallery construction may take besides --eps
+_GALLERY_FLAGS = {"mix": {"default": "0", "help": "rational in [0, 1/2]"},
+                  **{flag: {"type": int, "required": True} for flag in "kxys"}}
+# construction -> (its flags besides --eps, builder), in help order
+GALLERY = {
+    "noiseless-z": ((), lambda a: noiseless_z_pair(a.eps)),
+    "mixing": (("mix",), lambda a: mixing_pair(a.eps, a.mix)),
+    "inverse-k": (("k",), lambda a: inverse_k_pair(a.eps, a.k)),
+    "extend-alphabets": (("mix", "x", "y"),
+                         lambda a: extend_alphabets(mixing_pair(a.eps, a.mix), a.x, a.y)),
+    "extend-states": (("mix", "s"), lambda a: extend_states(mixing_pair(a.eps, a.mix), a.s)),
+}
 
 
 def _gallery_args(sp):
-    sp.add_argument("name", choices=GALLERY_NAMES)
-    sp.add_argument("--eps", default=None, required=True, help="rational like 1/4")
-    sp.add_argument("--mix", default=None, help="rational in [0, 1/2]")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--x", type=int, default=None)
-    sp.add_argument("--y", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--out", required=True, help="channel file to write")
-    sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sp.set_defaults(handler=cmd_gallery, writes_report=False)
+    constructions = sp.add_subparsers(dest="name", required=True)
+    for name, (flags, _) in GALLERY.items():
+        cp = constructions.add_parser(name)
+        cp.add_argument("--eps", required=True, help="rational like 1/4")
+        for flag in flags:
+            cp.add_argument(f"--{flag}", **_GALLERY_FLAGS[flag])
+        cp.add_argument("--out", required=True, dest="channel_out", metavar="OUT",
+                        help="channel file to write")
+        cp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        cp.set_defaults(handler=cmd_gallery)
 
 
 def _discontinuity_demo_args(sp):
@@ -490,16 +474,17 @@ def _discontinuity_demo_args(sp):
     sp.add_argument("--n", type=int, default=4)
     _add_optimizer_flags(sp)
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_discontinuity_demo, writes_report=True)
+    sp.set_defaults(handler=cmd_discontinuity_demo)
 
 
 def _lambda_seq_args(sp):
-    sp.add_argument("--program", default=None, help="counter-machine program file")
-    sp.add_argument("--mock", default=None, help="'never' or 'halt-at:K'")
+    oracle = sp.add_mutually_exclusive_group(required=True)
+    oracle.add_argument("--program", default=None, help="counter-machine program file")
+    oracle.add_argument("--mock", default=None, help="'never' or 'halt-at:K'")
     sp.add_argument("--input", type=int, required=True)
     sp.add_argument("--m-max", type=int, default=16, dest="m_max")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_lambda_seq, writes_report=True)
+    sp.set_defaults(handler=cmd_lambda_seq)
 
 
 def _indecomp_args(sp):
@@ -507,13 +492,13 @@ def _indecomp_args(sp):
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--sweep-n", action="store_true", dest="sweep_n")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_indecomp, writes_report=True)
+    sp.set_defaults(handler=cmd_indecomp)
 
 
 def _connectivity_args(sp):
     sp.add_argument("channel")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_connectivity, writes_report=True)
+    sp.set_defaults(handler=cmd_connectivity)
 
 
 # name -> (help line, function that adds the subcommand's arguments), in help order
@@ -562,7 +547,7 @@ def main(argv=None) -> int:
         }
         text = render_report(report, args.format)
         # before stdout, so a report that cannot be written prints nothing
-        if args.writes_report and args.out:
+        if getattr(args, "out", None):  # gallery's --out is its channel_out
             Path(args.out).write_text(text)
     except (FscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

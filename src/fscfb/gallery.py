@@ -90,13 +90,11 @@ def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChanne
     """
     x_size, y_size = int(x_size), int(y_size)
     s_size, old_x, old_y = g.channel.w.shape
-    if x_size < old_x or y_size < old_y:
-        raise DomainError(
-            f"alphabets can only grow: have ({old_x}, {old_y}), "
-            f"asked for ({x_size}, {y_size})"
-        )
+    check_at_least("x_size", x_size, old_x, DomainError)  # alphabets only grow
+    check_at_least("y_size", y_size, old_y, DomainError)
     check_budget("x_size * y_size", x_size * y_size, lambda xy: s_size * xy,
                  MAX_JOINT_ENTRIES, "table entries")
+    exact_w = g.exact_table()
     zero = Fraction(0)
     w = [
         [[zero] * y_size for _ in range(x_size)]
@@ -107,7 +105,7 @@ def extend_alphabets(g: LoadedChannel, x_size: int, y_size: int) -> LoadedChanne
         for x in range(x_size):
             src = x if x < old_x else 0
             for y in range(old_y):
-                w[sp][x][y] = g.exact_w[sp][src][y]
+                w[sp][x][y] = exact_w[sp][src][y]
             if x < old_x:
                 for y in range(old_y):
                     f[sp][x][y] = int(g.channel.f[sp, x, y])
@@ -146,7 +144,7 @@ def extend_states(g: LoadedChannel, s_size: int) -> LoadedChannel:
         return g
 
     zero, one = Fraction(0), Fraction(1)
-    w = [[list(row) for row in state] for state in g.exact_w]
+    w = [[list(row) for row in state] for state in g.exact_table()]
     f = [[[int(v) for v in row] for row in state] for state in np.asarray(g.channel.f)]
     # state 0's (x, y) = (0, 1) pair now opens the chain of new states
     f[0][0][1] = 2

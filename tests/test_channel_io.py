@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -127,11 +128,13 @@ def test_mixed_table_round_trips_its_fractions_verbatim():
 
 def test_optimizer_block():
     g = noiseless_z_pair("1/4")
-    text = dumps_channel(replace(g, optimizer={"restarts": 4, "seed": 7}))
+    text = dumps_channel(replace(g, optimizer={"max_iters": 4, "tol": 1e-9}))
     loaded = loads_channel(text)
-    assert loaded.optimizer == {"restarts": 4, "seed": 7}
-    with pytest.raises(ValidationError, match="unknown optimizer"):
-        replace(g, optimizer={"stepsize": 3})
+    assert loaded.optimizer == {"max_iters": 4, "tol": 1e-9}
+    # the old multi-start keys are unknown settings like any other
+    for key in ("stepsize", "restarts", "seed"):
+        with pytest.raises(ValidationError, match=rf"unknown optimizer settings: \['{key}'\]"):
+            replace(g, optimizer={key: 3})
 
 
 def test_load_errors_name_coordinates():
@@ -179,6 +182,59 @@ def test_load_rejects_malformed_documents(patch, message):
     doc = {k: v for k, v in doc.items() if v is not None}
     with pytest.raises(ValidationError, match=message):
         loads_channel(json.dumps(doc))
+
+
+def _documents():
+    """The noiseless-z file as a unifilar document and as a general one."""
+    g = noiseless_z_pair("1/4")
+    unifilar = json.loads(dumps_channel(g))
+    general = {k: v for k, v in unifilar.items() if k not in ("w", "f")}
+    general.update(kind="general", law=compose_unifilar(g.channel).law.tolist())
+    return unifilar, general
+
+
+@pytest.mark.parametrize("source, patch, message", [
+    (0, {"kind": "nonsense"}, "kind 'nonsense' does not name the file's tables"),
+    (0, {"kind": "general"}, "kind 'general' does not name the file's tables"),
+    (0, {"kind": None}, "kind None does not name the file's tables"),
+    (1, {"kind": "unifilar"}, "kind 'unifilar' does not name the file's tables"),
+    (0, {"law": 1}, "channel file holds both 'law' and 'w'/'f'"),
+    (1, {"f": 0}, "channel file holds both 'law' and 'w'/'f'"),
+], ids=["nonsense", "general-with-w", "null", "unifilar-with-law", "law-and-w", "law-and-f"])
+def test_a_file_kind_must_name_the_tables_it_holds(source, patch, message):
+    """``patch`` sets a header value, or copies a table from the other
+    document (0: unifilar, 1: general)."""
+    docs = _documents()
+    doc = docs[source]
+    for key, value in patch.items():
+        doc[key] = docs[value][key] if key in ("law", "f") else value
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        loads_channel(json.dumps(doc))
+
+
+def test_a_file_kind_may_be_left_out():
+    for doc in _documents():
+        kind = doc.pop("kind")
+        assert loads_channel(json.dumps(doc)).kind == kind
+
+
+@pytest.mark.parametrize("read", [
+    dumps_channel, lambda g: extend_alphabets(g, 3, 3), lambda g: extend_states(g, 3),
+], ids=["dumps_channel", "extend_alphabets", "extend_states"])
+@pytest.mark.parametrize("wider, named", [
+    (False, r"^exact w\[1\]\[0\]\[0\] is stale"),
+    (True, r"^exact w has shape \(2, 2, 2\), the channel's \(2, 3, 3\)$"),
+], ids=["entry", "shape"])
+def test_a_record_refuses_to_read_an_exact_table_its_channel_no_longer_holds(read, wider, named):
+    g = mixing_pair("1/4", "1/8")
+    if wider:
+        channel = extend_alphabets(g, 3, 3).channel
+    else:
+        w = g.channel.w.copy()
+        w[1, 0] = 0.5  # was (1 - eps, eps) = (3/4, 1/4)
+        channel = UnifilarChannel(w, g.channel.f)
+    with pytest.raises(ValidationError, match=named):
+        read(replace(g, channel=channel))
 
 
 @pytest.mark.parametrize("key", ["x_size", "y_size", "s_size", "s0"])
@@ -236,7 +292,10 @@ HUGE = 10**5000
      r"^k must be >= 1, got a value of 16,610 bits$"),
     (lambda: extend_states(noiseless_z_pair("1/4"), -HUGE), DomainError,
      r"^state count must be >= 2, got a value of 16,610 bits$"),
-], ids=["max_iters", "s0", "eps", "mix", "w-entry", "eps-range", "k-range", "state-count"])
+    (lambda: extend_alphabets(mixing_pair("1/4", "1/4"), -HUGE, 2), DomainError,
+     r"^x_size must be >= 2, got a value of 16,610 bits$"),
+], ids=["max_iters", "s0", "eps", "mix", "w-entry", "eps-range", "k-range", "state-count",
+        "x-size"])
 def test_values_too_long_to_print_are_refused_by_their_bit_length(build, error, named):
     with pytest.raises(error, match=named):
         build()
@@ -333,8 +392,6 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3
 OPTIMIZER_BLOCKS = st.fixed_dictionaries({}, optional={
     "max_iters": st.integers(0, 10**6) | st.integers(0, 10**6).map(float),
     "tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 9),
-    "restarts": JSON_VALUES,
-    "seed": JSON_VALUES,
 })
 
 
@@ -361,7 +418,7 @@ def test_a_record_checks_its_header_when_built(header):
 
 
 @pytest.mark.parametrize("header, where", [
-    ({"optimizer": {"seed": {1}}}, "optimizer['seed']"),
+    ({"label": {1}}, "label"),
     ({"params": {"k": np.int64(3)}}, "params['k']"),
     ({"params": {"k": [1, {"nested": {2}}]}}, "params['k']"),
     # ints too long to print: named by their bit length, or by their key alone

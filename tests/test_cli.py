@@ -23,7 +23,7 @@ from fscfb import (
     lambda_double_sequence,
     load_channel,
 )
-from fscfb.cli import SUBCOMMANDS, build_parser, main, render_report
+from fscfb.cli import GALLERY, SUBCOMMANDS, build_parser, main, render_report
 from conftest import CountingOracle
 
 PARITY = "jz r0 6\ndec r0\njz r0 5\ndec r0\njmp 0\njmp 5\nhalt\n"
@@ -128,11 +128,12 @@ def test_gallery_outputs_validate(tmp_path, capsys, argv):
 
 
 def test_gallery_missing_parameter_fails(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "gallery", "inverse-k", "--eps", "1/4", "--out", str(tmp_path / "x.json")
-    )
-    assert code == 2
-    assert "needs --k" in err
+    path = tmp_path / "x.json"
+    code, out, err = exit_outcome(capsys, main,
+                                  ["gallery", "inverse-k", "--eps", "1/4", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --k" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("sizes", [("extend-states", "--s", "1000000000"),
@@ -519,12 +520,14 @@ def test_non_integer_f_fails_cleanly(tmp_path, capsys):
 
 
 def test_lambda_seq_needs_exactly_one_oracle(capsys):
-    code, _, err = run_cli(capsys, "lambda-seq", "--input", "1")
-    assert code == 2
-    code, _, err = run_cli(
-        capsys, "lambda-seq", "--mock", "never", "--program", "x", "--input", "1"
+    code, out, err = exit_outcome(capsys, main, ["lambda-seq", "--input", "1"])
+    assert (code, out) == (2, "")
+    assert "one of the arguments --program --mock is required" in err
+    code, out, err = exit_outcome(
+        capsys, main, ["lambda-seq", "--mock", "never", "--program", "x", "--input", "1"]
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "argument --program: not allowed with argument --mock" in err
 
 
 def test_indecomp_sweep(mixing_channel, capsys):
@@ -548,27 +551,26 @@ def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
 
     path = tmp_path / "tuned.json"
     path.write_text(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0,
-                                          optimizer={"restarts": 2, "seed": 9})))
+                                          optimizer={"tol": 1e-12})))
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
     doc = json.loads(out)
     row = doc["rows"][0]
-    # both old keys are read, ignored and named on stderr
-    assert "seed" not in doc and "restarts" not in row
-    assert err.count("restarts is ignored") == 1 and err.count("seed is ignored") == 1
-    assert row["converged"] and 0.0 <= row["gap"] < 1e-10
+    assert doc["diagnostics"]["optimizer"] == "max_iters=20000 tol=1e-12"  # file tol read
+    assert "warning" not in err
+    assert row["converged"] and 0.0 <= row["gap"] < 1e-12
     assert row["s0"] == "0"  # file s0 picked up
     # CLI flags still win over the file block; a cell that needs more than
     # three updates shows which max_iters was used
     path = tmp_path / "capped.json"
     path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
-                                          optimizer={"max_iters": 2, "restarts": 2, "seed": 9})))
+                                          optimizer={"max_iters": 2})))
     cell = ("capacity", str(path), "--n", "2", "--format", "json")
     code, out, err = run_cli(capsys, *cell)
     assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 2  # file block resolved
     code, out, err = run_cli(capsys, *cell, "--max-iters", "3", "--seed", "4", "--restarts", "3")
     assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 3
-    # the flags are accepted and ignored the same way: once for the file, once for the flag
-    assert err.count("restarts is ignored") == 2 and err.count("seed is ignored") == 2
+    # the two old flags are accepted and ignored, each with one warning
+    assert err.count("--restarts is ignored") == 1 and err.count("--seed is ignored") == 1
 
 
 def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
@@ -576,10 +578,10 @@ def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
 
     path = tmp_path / "whole.json"
     path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
-                                          optimizer={"max_iters": 2.0, "seed": 7.0})))
+                                          optimizer={"max_iters": 2.0})))
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
     doc = json.loads(out)
-    assert code == 0 and "seed" not in doc and "seed is ignored" in err
+    assert code == 0 and "warning" not in err
     assert doc["rows"][0]["iterations"] == 2
 
 
@@ -604,14 +606,49 @@ def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
 
 
 @pytest.mark.parametrize("seed", [[1], 2.5, True, None])
-def test_seed_in_the_optimizer_block_is_ignored(tmp_path, capsys, seed):
-    from fscfb import dumps_channel, noiseless_z_pair
-
-    path = tmp_path / "seeded.json"
-    path.write_text(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0, optimizer={"seed": seed})))
+def test_seed_in_the_optimizer_block_is_refused(tmp_path, capsys, seed):
+    path = write_with_block(tmp_path / "seeded.json", {"seed": seed})
     code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
-    assert code == 0 and "seed" not in json.loads(out)
-    assert err.count("optimizer.seed is ignored") == 1
+    assert one_error_line(code, out, err)
+    assert "unknown optimizer settings: ['seed']" in err
+
+
+# a valid value for each flag a gallery construction may take
+GALLERY_VALUES = {"mix": "1/8", "k": "4", "x": "3", "y": "3", "s": "3"}
+
+
+def gallery_argv(name, flags):
+    return ["gallery", name, "--eps", "1/4",
+            *[token for flag in flags for token in (f"--{flag}", GALLERY_VALUES[flag])]]
+
+
+INERT_INPUTS = (
+    [pytest.param(gallery_argv(name, (*flags, extra)), {}, id=f"gallery-{name}-{extra}")
+     for name, (flags, _) in GALLERY.items() for extra in GALLERY_VALUES if extra not in flags]
+    + [pytest.param(["capacity", "--n", "1", "--s0", "0", "--all-states"], {},
+                    id="capacity-s0-all-states")]
+    + [pytest.param(["capacity", "--n", "1"], {key: 1}, id=f"optimizer-{key}")
+       for key in ("restarts", "seed")]
+)
+
+
+@pytest.mark.parametrize("argv, block", INERT_INPUTS)
+def test_an_input_the_program_would_not_read_is_refused(tmp_path, capsys, argv, block):
+    """Each flag a gallery construction does not take, --s0 with
+    --all-states, and each retired optimizer key of a channel file exit 2
+    with nothing on stdout and no file written."""
+    out_path = tmp_path / "out.json"
+    if argv[0] == "gallery":
+        argv = [*argv, "--out", str(out_path)]
+    else:
+        argv = [argv[0], str(write_with_block(tmp_path / "ch.json", block)), *argv[1:]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "error: " in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("block", [{"tol": "abc"}, []], ids=["tol-string", "list"])
@@ -693,8 +730,8 @@ def test_a_rejected_call_leaves_the_next_call_unchanged(frozen_channel, capsys):
 
 
 def test_a_gallery_default_does_not_leak_into_the_next_call(tmp_path, capsys):
-    """``cmd_gallery`` writes ``args.mix``; a mixing call without --mix after
-    one with it still writes the mix = 0 channel."""
+    """A mixing call without --mix after one with it still writes the
+    mix = 0 channel."""
     from fscfb import dumps_channel, mixing_pair
 
     run_cli(capsys, "gallery", "mixing", "--eps", "1/4", "--mix", "1/8",
@@ -728,8 +765,11 @@ def test_calls_to_different_subcommands_build_the_parser_once(frozen_channel, tm
             assert run_cli(capsys, *argv)[0] == 0
     finally:
         build_parser.cache_clear()
-    # the top-level parser, then one subparser per subcommand, all in the first call
-    assert built == ["fscfb"] + [f"fscfb {name}" for name in SUBCOMMANDS]
+    # the top-level parser, then one subparser per subcommand and one per
+    # gallery construction, all in the first call
+    constructions = [f"fscfb gallery {name}" for name in GALLERY]
+    assert built == ["fscfb"] + [prog for name in SUBCOMMANDS for prog in
+                                 [f"fscfb {name}"] + (constructions if name == "gallery" else [])]
 
 
 @pytest.mark.parametrize("argv", [
