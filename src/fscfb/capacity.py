@@ -13,7 +13,7 @@ capacity of a memoryless channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -55,27 +55,21 @@ def binary_entropy(p: float) -> float:
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs of the Blahut-Arimoto solver; defaults match the CLI defaults.
-    Each is a number, so a boolean, a string, a null or a list is refused;
-    ``max_iters`` a whole one, so 2.0 is read as 2 and 2.5 is refused."""
+    ``max_iters`` is an int and ``tol`` an int or a float, so a boolean, a
+    string, a null or a list is refused."""
 
     max_iters: int = 20000      # policy updates
     tol: float = 1e-10          # stop once upper - lower < tol
 
     def __post_init__(self):
-        for setting in fields(self):
-            value = getattr(self, setting.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(
-                    f"optimizer setting {setting.name} must be a number, got {value!r}")
-        if isinstance(self.max_iters, float) and not self.max_iters.is_integer():
-            raise ValidationError(
-                f"optimizer setting max_iters must be a whole number, got {self.max_iters!r}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "tol", float(self.tol))
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise ValidationError(f"max_iters must be an int, got {self.max_iters!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ValidationError(f"tol must be a number, got {self.tol!r}")
         check_at_least("max_iters", self.max_iters, 0)
         # written so that NaN fails: a bracket never closes below a tol <= 0
         if not 0.0 < self.tol < np.inf:
-            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+            raise ValidationError(f"{describe_int('tol', self.tol, ' = ')} is not positive and finite")
 
 
 def _check_cell(u: UnifilarChannel, s0: int, horizon: int):

@@ -5,29 +5,29 @@ JSON with fields ``x_size``, ``y_size``, ``s_size``, then either ``w`` +
 [s'][x][y][s]), which an optional ``kind`` must name. Probabilities may be
 JSON numbers or exact fraction strings like "1/4"; a unifilar ``w`` is kept
 and echoed entry by entry as given. An optional ``s0``, a free-form
-``label``/``params`` pair, and an ``optimizer`` settings block are carried
-through, checked once, when the ``LoadedChannel`` record is built. Files
-are UTF-8.
+``label``/``params`` pair are carried through, checked once, when the
+``LoadedChannel`` record is built. A file holding any other key, or a key
+given twice, is refused. Files are UTF-8.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .capacity import OptimizerSettings
 from .channels import FiniteStateChannel, UnifilarChannel, compose_unifilar
 from .errors import DomainError, ValidationError, describe_int
 
 FORMAT_NAME = "fsc-channel"
 FORMAT_VERSION = 1
 
-SETTING_KEYS = tuple(setting.name for setting in fields(OptimizerSettings))
+_KEYS = frozenset(("format", "version", "kind", "label", "params", "x_size", "y_size", "s_size",
+                   "s0", "w", "f", "law"))  # every key a file may hold
 _KINDS = {"unifilar": UnifilarChannel, "general": FiniteStateChannel}
 
 
@@ -36,17 +36,15 @@ class LoadedChannel:
     """A channel with its file header: a loaded file, or a gallery channel
     with the exact tables and parameters behind it. The header is checked
     when the record is built: ``kind`` names the channel's class, ``s0`` is
-    None or a state of the channel, ``params`` an object, and ``optimizer``
-    an object whose keys are ``SETTING_KEYS``, with valid settings; the
-    label and every value of both objects must be writable as JSON (a
-    Fraction in ``params`` is written as "p/q")."""
+    None or a state of the channel and ``params`` an object; the label and
+    every value of ``params`` must be writable as JSON (a Fraction is
+    written as "p/q")."""
 
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
     s0: int | None = None
     label: str | None = None
     params: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
     exact_w: tuple | None = None    # a unifilar w as given: Fractions, and floats for decimals
     digest: str | None = None       # content_digest of the file it was loaded from
 
@@ -58,16 +56,9 @@ class LoadedChannel:
             raise ValidationError(f"{_named('s0', self.s0)} outside 0..{self.channel.s_size - 1}")
         if not isinstance(self.params, dict):
             raise ValidationError(f"params must be an object, got {self.params!r}")
-        if not isinstance(self.optimizer, dict):
-            raise ValidationError(f"optimizer block must be an object, got {self.optimizer!r}")
-        unknown = set(self.optimizer) - set(SETTING_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown optimizer settings: {sorted(unknown)}")
-        OptimizerSettings(**self.optimizer)
         _check_json(self.label, "label")
-        for name, block in (("params", self.params), ("optimizer", self.optimizer)):
-            for key, value in block.items():
-                _check_json(value, f"{name}[{key!r}]")
+        for key, value in self.params.items():
+            _check_json(value, f"params[{key!r}]")
         # a table given as tuples, as loads_channel builds it, is kept as is
         if self.kind == "unifilar" and not isinstance(self.exact_w, tuple):
             given = self.channel.w.tolist() if self.exact_w is None else self.exact_w
@@ -168,9 +159,21 @@ def load_channel(path) -> LoadedChannel:
     return loaded
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refused if it gives a key twice: json.loads keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in keys if keys.count(key) > 1)
+        raise ValidationError(f"channel file gives key {twice!r} twice")
+    return obj
+
+
 def loads_channel(text: str) -> LoadedChannel:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValidationError:  # a key given twice, named as such
+        raise
     except ValueError as exc:  # a syntax error, or an int of more than 4,300 digits
         raise ValidationError(f"channel file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -179,13 +182,16 @@ def loads_channel(text: str) -> LoadedChannel:
         raise ValidationError(f"unknown file format {data.get('format')!r}")
     if data.get("version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {data.get('version')!r}")
+    unknown = data.keys() - _KEYS
+    if unknown:
+        raise ValidationError(f"unknown channel file keys: {sorted(unknown)}")
     sizes = {}
     for key in ("x_size", "y_size", "s_size"):
         if not _is_int(data.get(key)) or data[key] < 1:
             raise ValidationError(f"{key} must be a positive integer")
         sizes[key] = data[key]
 
-    header = data.get("s0"), data.get("label"), data.get("params", {}), data.get("optimizer", {})
+    header = data.get("s0"), data.get("label"), data.get("params", {})
     shape = (sizes["s_size"], sizes["x_size"], sizes["y_size"])
     kind = "general" if "law" in data else "unifilar"
     if kind == "general" and ("w" in data or "f" in data):
@@ -287,9 +293,9 @@ def _params_out(params: dict):
 
 
 def dumps_channel(loaded: LoadedChannel) -> str:
-    """Serialize a record deterministically, with its ``s0`` and
-    ``optimizer`` block. A unifilar ``w`` echoes its table as given:
-    fractions as "p/q", decimals to 12 significant digits."""
+    """Serialize a record deterministically, with its ``s0``. A unifilar
+    ``w`` echoes its table as given: fractions as "p/q", decimals to 12
+    significant digits."""
     doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
     if loaded.label is not None:
         doc["label"] = loaded.label
@@ -311,8 +317,6 @@ def dumps_channel(loaded: LoadedChannel) -> str:
         doc["f"] = np.asarray(ch.f).tolist()
     else:
         doc["law"] = _table_out(ch.law.tolist())
-    if loaded.optimizer:
-        doc["optimizer"] = loaded.optimizer
     return _pretty(doc) + "\n"
 
 

@@ -168,16 +168,13 @@ def _given(*values):
     return next((value for value in values if value is not None), None)
 
 
-def _resolve_settings(args, block: dict) -> OptimizerSettings:
-    """Optimizer settings from the flags, the channel file's optimizer block
-    and the defaults, after a warning for each ignored flag given."""
+def _resolve_settings(args) -> OptimizerSettings:
+    """Optimizer settings from the flags, after a warning for each ignored
+    flag given."""
     for key in _IGNORED_FLAGS:
         if getattr(args, key) is not None:
             print(f"warning: --{key} is ignored", file=sys.stderr)
-    return OptimizerSettings(**{
-        key: _given(getattr(args, key), block.get(key), getattr(OptimizerSettings, key))
-        for key in channel_io.SETTING_KEYS
-    })
+    return OptimizerSettings(args.max_iters, args.tol)
 
 
 def _load_unifilar(path):
@@ -227,7 +224,7 @@ def _estimate_row(n, s0_label, est, upper, tol):
 
 def cmd_capacity(args):
     loaded = _load_unifilar(args.channel)
-    cfg = _resolve_settings(args, loaded.optimizer)
+    cfg = _resolve_settings(args)
     check_at_least("horizon", args.n, 1)  # also where no cell runs to refuse it
     u = loaded.channel
     horizons = range(1, args.n + 1) if args.sweep_n else [args.n]
@@ -305,7 +302,7 @@ def cmd_gallery(args):
 def cmd_discontinuity_demo(args):
     eps = channel_io.as_fraction(args.eps)
     ks = [int(tok) for tok in args.k_list.split(",") if tok]
-    cfg = _resolve_settings(args, {})
+    cfg = _resolve_settings(args)
     base = mixing_pair(eps, 0)
     base_law = compose_unifilar(base.channel)
     z_cap, _ = z_channel_closed_form(float(eps))
@@ -402,8 +399,8 @@ def _add_output_flags(sp):
 def _add_optimizer_flags(sp):
     for key in _IGNORED_FLAGS:
         sp.add_argument(f"--{key}", type=int, default=None, help="ignored; kept for old scripts")
-    sp.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--max-iters", type=int, default=OptimizerSettings.max_iters, dest="max_iters")
+    sp.add_argument("--tol", type=float, default=OptimizerSettings.tol)
 
 
 def _validate_args(sp):
@@ -465,7 +462,7 @@ def _gallery_args(sp):
         cp.add_argument("--out", required=True, dest="channel_out", metavar="OUT",
                         help="channel file to write")
         cp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        cp.set_defaults(handler=cmd_gallery)
+        cp.set_defaults(handler=cmd_gallery, parser=cp)
 
 
 def _discontinuity_demo_args(sp):
@@ -529,14 +526,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_args) in SUBCOMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(parser=sp)  # a gallery construction sets its own
+        add_args(sp)
     return parser
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:  # refused with the usage of the subcommand they follow
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         rows, diagnostics, digest = args.handler(args)
         report = {

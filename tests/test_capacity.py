@@ -553,10 +553,13 @@ def test_a_state_too_long_to_print_is_refused_by_its_bit_length():
 
 @pytest.mark.parametrize("settings", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"max_iters": -5},
+    {"max_iters": 2.0}, {"max_iters": True}, {"max_iters": None}, {"tol": "1e-9"}, {"tol": [1]},
+    {"tol": True},
 ])
 def test_optimizer_settings_reject_malformed_values(settings):
     # a bracket never closes below tol <= 0, NaN compares false with any
-    # width, and an infinite tol stops before the first update
+    # width, and an infinite tol stops before the first update; a count of
+    # updates is an int, 2.0 included, and neither setting is a bool
     with pytest.raises(ValidationError):
         OptimizerSettings(**settings)
 

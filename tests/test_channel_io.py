@@ -126,17 +126,6 @@ def test_mixed_table_round_trips_its_fractions_verbatim():
     assert dumps_channel(loads_channel(text)) == text
 
 
-def test_optimizer_block():
-    g = noiseless_z_pair("1/4")
-    text = dumps_channel(replace(g, optimizer={"max_iters": 4, "tol": 1e-9}))
-    loaded = loads_channel(text)
-    assert loaded.optimizer == {"max_iters": 4, "tol": 1e-9}
-    # the old multi-start keys are unknown settings like any other
-    for key in ("stepsize", "restarts", "seed"):
-        with pytest.raises(ValidationError, match=rf"unknown optimizer settings: \['{key}'\]"):
-            replace(g, optimizer={key: 3})
-
-
 def test_load_errors_name_coordinates():
     doc = {
         "format": "fsc-channel",
@@ -159,13 +148,14 @@ def test_load_errors_name_coordinates():
         ({"s0": 5}, "s0"),
         ({"w": None, "f": None}, "either 'law'"),
         ({"x_size": 0}, "positive integer"),
-        ({"optimizer": []}, "optimizer block must be an object"),
-        ({"optimizer": 0}, "optimizer block must be an object"),
-        ({"optimizer": ""}, "optimizer block must be an object"),
-        ({"optimizer": False}, "optimizer block must be an object"),
+        # a key outside the format, the retired optimizer block included
+        ({"optimizer": {"max_iters": 4}}, r"unknown channel file keys: \['optimizer'\]"),
+        ({"optimizer": {}}, r"unknown channel file keys: \['optimizer'\]"),
+        ({"S0": 1}, r"unknown channel file keys: \['S0'\]"),
+        ({"lawx": 3}, r"unknown channel file keys: \['lawx'\]"),
         ({"params": "abc"}, "params must be an object"),
         ({"params": [1]}, "params must be an object"),
-        ({"optimizer": {"tol": "abc"}}, "tol must be a number"),
+        ({"optimiser": {}, "Label": "z"}, r"unknown channel file keys: \['Label', 'optimiser'\]"),
     ],
 )
 def test_load_rejects_malformed_documents(patch, message):
@@ -263,6 +253,16 @@ def test_load_rejects_bad_json():
         loads_channel("{oops")
 
 
+@pytest.mark.parametrize("members, key", [
+    ('"s0": 0, "s0": 1', "s0"), ('"params": {"k": 1, "k": 2}', "k"),
+], ids=["s0", "params-k"])
+def test_load_refuses_a_key_given_twice(members, key):
+    # JSON itself would keep the last; the refusal is not reworded as bad JSON
+    text = dumps_channel(replace(noiseless_z_pair("1/4"), params={}))
+    with pytest.raises(ValidationError, match=rf"^channel file gives key '{key}' twice$"):
+        loads_channel(text[:-len("\n}\n")] + f",\n  {members}\n}}\n")
+
+
 def test_load_refuses_an_int_too_long_to_read():
     # Python reads no int of more than 4,300 digits
     with pytest.raises(ValidationError, match="^channel file is not valid JSON: "):
@@ -294,8 +294,10 @@ HUGE = 10**5000
      r"^state count must be >= 2, got a value of 16,610 bits$"),
     (lambda: extend_alphabets(mixing_pair("1/4", "1/4"), -HUGE, 2), DomainError,
      r"^x_size must be >= 2, got a value of 16,610 bits$"),
+    (lambda: OptimizerSettings(tol=-HUGE), ValidationError,
+     r"^tol of 16,610 bits is not positive and finite$"),
 ], ids=["max_iters", "s0", "eps", "mix", "w-entry", "eps-range", "k-range", "state-count",
-        "x-size"])
+        "x-size", "tol"])
 def test_values_too_long_to_print_are_refused_by_their_bit_length(build, error, named):
     with pytest.raises(error, match=named):
         build()
@@ -389,29 +391,23 @@ JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(
                | st.floats(allow_nan=False, allow_infinity=False))
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
-OPTIMIZER_BLOCKS = st.fixed_dictionaries({}, optional={
-    "max_iters": st.integers(0, 10**6) | st.integers(0, 10**6).map(float),
-    "tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 9),
-})
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_written_record_reads_back_to_the_same_text(data):
-    """The file's s0, params and optimizer block survive a load: the text
-    ``dumps_channel`` writes is a fixed point of load-then-write."""
+    """The file's s0 and params survive a load: the text ``dumps_channel``
+    writes is a fixed point of load-then-write."""
     g = data.draw(st.sampled_from(GALLERY))
     s0 = data.draw(st.none() | st.integers(0, g.channel.s_size - 1))
     params = data.draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
-    optimizer = data.draw(OPTIMIZER_BLOCKS)
-    text = dumps_channel(replace(g, s0=s0, params=params, optimizer=optimizer))
+    text = dumps_channel(replace(g, s0=s0, params=params))
     loaded = loads_channel(text)
-    assert (loaded.s0, loaded.params, loaded.optimizer) == (s0, params, optimizer)
+    assert (loaded.s0, loaded.params) == (s0, params)
     assert dumps_channel(loaded) == text
 
 
-@pytest.mark.parametrize("header", [{"s0": 2}, {"s0": 1.0}, {"params": None}, {"optimizer": None},
-                                    {"optimizer": {"max_iters": -1}}])
+@pytest.mark.parametrize("header", [{"s0": 2}, {"s0": 1.0}, {"params": None}])
 def test_a_record_checks_its_header_when_built(header):
     with pytest.raises(ValidationError):
         replace(noiseless_z_pair("1/4"), **header)

@@ -260,14 +260,15 @@ def one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-def write_with_block(path, block):
-    """The noiseless-z file from s0 = 0 with ``optimizer`` set to ``block``,
-    written as raw JSON: a record refuses a malformed block."""
+def write_with(path, member=None):
+    """The noiseless-z file from s0 = 0 with the raw JSON ``member``, if
+    given, as its last member: text, so that it may repeat a key."""
     from fscfb import dumps_channel, noiseless_z_pair
 
-    doc = json.loads(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0)))
-    doc["optimizer"] = block
-    path.write_text(json.dumps(doc))
+    text = dumps_channel(replace(noiseless_z_pair("1/4"), s0=0))
+    if member is not None:
+        text = text[:-len("\n}\n")] + f",\n  {member}\n}}\n"
+    path.write_text(text)
     return path
 
 
@@ -471,14 +472,18 @@ def exit_outcome(capsys, parse, argv):
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_one_subcommand_parser_reads_like_the_full_parser(capsys, name):
-    """``main`` ends a help or a bad call of one subcommand exactly as a
-    freshly built parser does: help, a missing required argument, and a
-    stray token the top level rejects. Its cached parser keeps no state from
-    the calls before."""
+    """``main`` ends a help or a call missing a required argument of one
+    subcommand exactly as a freshly built parser does, and a stray token
+    with that subcommand's usage. Its cached parser keeps no state from the
+    calls before."""
     fresh = build_parser.__wrapped__()
-    for argv in ([name, "--help"], [name], [name, "x", "--no-such-flag"]):
+    for argv in ([name, "--help"], [name]):
         full = exit_outcome(capsys, fresh.parse_args, argv)
         assert exit_outcome(capsys, main, argv) == full
+    stray = [name, "x", "--no-such-flag"]
+    code, out, err = exit_outcome(capsys, main, stray)
+    assert (code, out) == (2, "") and err.startswith(f"usage: fscfb {name} ")
+    assert exit_outcome(capsys, main, stray) == (code, out, err)
     assert exit_outcome(capsys, main, [name, "--help"])[0] == 0
     code, _, err = exit_outcome(capsys, main, [name])
     assert code == 2 and "the following arguments are required" in err
@@ -546,43 +551,22 @@ def test_connectivity_command(frozen_channel, capsys):
     assert (row["witness_from"], row["witness_to"]) == ("1", "0")
 
 
-def test_channel_file_optimizer_block_drives_the_run(tmp_path, capsys):
-    from fscfb import dumps_channel, mixing_pair, noiseless_z_pair
+def test_channel_file_s0_drives_the_run(tmp_path, capsys):
+    from fscfb import dumps_channel, mixing_pair
 
-    path = tmp_path / "tuned.json"
-    path.write_text(dumps_channel(replace(noiseless_z_pair("1/4"), s0=0,
-                                          optimizer={"tol": 1e-12})))
-    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
-    doc = json.loads(out)
-    row = doc["rows"][0]
-    assert doc["diagnostics"]["optimizer"] == "max_iters=20000 tol=1e-12"  # file tol read
-    assert "warning" not in err
-    assert row["converged"] and 0.0 <= row["gap"] < 1e-12
-    assert row["s0"] == "0"  # file s0 picked up
-    # CLI flags still win over the file block; a cell that needs more than
-    # three updates shows which max_iters was used
-    path = tmp_path / "capped.json"
-    path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
-                                          optimizer={"max_iters": 2})))
+    path = tmp_path / "from0.json"
+    path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0)))
     cell = ("capacity", str(path), "--n", "2", "--format", "json")
     code, out, err = run_cli(capsys, *cell)
-    assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 2  # file block resolved
+    doc = json.loads(out)
+    assert code == 0 and "warning" not in err
+    assert [row["s0"] for row in doc["rows"]] == ["0"]  # file s0 picked up
+    assert doc["diagnostics"]["optimizer"] == "max_iters=20000 tol=1e-10"
+    # a cell that needs more than three updates shows which max_iters was used
     code, out, err = run_cli(capsys, *cell, "--max-iters", "3", "--seed", "4", "--restarts", "3")
     assert code == 0 and json.loads(out)["rows"][0]["iterations"] == 3
     # the two old flags are accepted and ignored, each with one warning
     assert err.count("--restarts is ignored") == 1 and err.count("--seed is ignored") == 1
-
-
-def test_whole_floats_in_the_optimizer_block_are_read_as_ints(tmp_path, capsys):
-    from fscfb import dumps_channel, mixing_pair
-
-    path = tmp_path / "whole.json"
-    path.write_text(dumps_channel(replace(mixing_pair("1/4", "1/8"), s0=0,
-                                          optimizer={"max_iters": 2.0})))
-    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "2", "--format", "json")
-    doc = json.loads(out)
-    assert code == 0 and "warning" not in err
-    assert doc["rows"][0]["iterations"] == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -595,24 +579,6 @@ def test_solver_flags_that_can_never_converge_fail_cleanly(frozen_channel, capsy
     assert one_error_line(code, out, err)
 
 
-@pytest.mark.parametrize("block", [{"tol": -1}, {"tol": 0}, {"max_iters": -5}, {"tol": None},
-                                   {"tol": [1]}, {"max_iters": 2.5}, {"max_iters": True},
-                                   {"max_iters": None}, {"tol": "1e-9"}, {"tol": True},
-                                   {"max_iters": "5"}])
-def test_malformed_optimizer_block_fails_cleanly(tmp_path, capsys, block):
-    path = write_with_block(tmp_path / "bad.json", block)
-    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1")
-    assert one_error_line(code, out, err)
-
-
-@pytest.mark.parametrize("seed", [[1], 2.5, True, None])
-def test_seed_in_the_optimizer_block_is_refused(tmp_path, capsys, seed):
-    path = write_with_block(tmp_path / "seeded.json", {"seed": seed})
-    code, out, err = run_cli(capsys, "capacity", str(path), "--n", "1", "--format", "json")
-    assert one_error_line(code, out, err)
-    assert "unknown optimizer settings: ['seed']" in err
-
-
 # a valid value for each flag a gallery construction may take
 GALLERY_VALUES = {"mix": "1/8", "k": "4", "x": "3", "y": "3", "s": "3"}
 
@@ -623,25 +589,25 @@ def gallery_argv(name, flags):
 
 
 INERT_INPUTS = (
-    [pytest.param(gallery_argv(name, (*flags, extra)), {}, id=f"gallery-{name}-{extra}")
+    [pytest.param(gallery_argv(name, (*flags, extra)), None, id=f"gallery-{name}-{extra}")
      for name, (flags, _) in GALLERY.items() for extra in GALLERY_VALUES if extra not in flags]
-    + [pytest.param(["capacity", "--n", "1", "--s0", "0", "--all-states"], {},
+    + [pytest.param(["capacity", "--n", "1", "--s0", "0", "--all-states"], None,
                     id="capacity-s0-all-states")]
-    + [pytest.param(["capacity", "--n", "1"], {key: 1}, id=f"optimizer-{key}")
+    + [pytest.param(["capacity", "--n", "1"], f'"optimizer": {{"{key}": 1}}', id=f"optimizer-{key}")
        for key in ("restarts", "seed")]
 )
 
 
-@pytest.mark.parametrize("argv, block", INERT_INPUTS)
-def test_an_input_the_program_would_not_read_is_refused(tmp_path, capsys, argv, block):
+@pytest.mark.parametrize("argv, member", INERT_INPUTS)
+def test_an_input_the_program_would_not_read_is_refused(tmp_path, capsys, argv, member):
     """Each flag a gallery construction does not take, --s0 with
-    --all-states, and each retired optimizer key of a channel file exit 2
-    with nothing on stdout and no file written."""
+    --all-states, and a channel file's retired optimizer block exit 2 with
+    nothing on stdout and no file written."""
     out_path = tmp_path / "out.json"
     if argv[0] == "gallery":
         argv = [*argv, "--out", str(out_path)]
     else:
-        argv = [argv[0], str(write_with_block(tmp_path / "ch.json", block)), *argv[1:]]
+        argv = [argv[0], str(write_with(tmp_path / "ch.json", member)), *argv[1:]]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's refusal
@@ -651,15 +617,39 @@ def test_an_input_the_program_would_not_read_is_refused(tmp_path, capsys, argv, 
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("block", [{"tol": "abc"}, []], ids=["tol-string", "list"])
+# a member outside the format, and the key it names
+FOREIGN_MEMBERS = {"optimizer": ('"optimizer": {"tol": 1e-9}', "optimizer"),
+                   "S0": ('"S0": 1', "S0"), "lawx": ('"lawx": 3', "lawx"),
+                   "s0-twice": ('"s0": 1', "s0")}
+
+
+@pytest.mark.parametrize("member, key", FOREIGN_MEMBERS.values(), ids=FOREIGN_MEMBERS)
 @pytest.mark.parametrize("argv", [
     ("validate",), ("capacity", "--n", "1"), ("directed-info", "--n", "1"), ("dmc-capacity",),
     ("indecomp",), ("connectivity",),
 ], ids=lambda argv: argv[0])
-def test_every_subcommand_refuses_a_malformed_optimizer_block(tmp_path, capsys, argv, block):
-    path = write_with_block(tmp_path / "bad.json", block)
+def test_every_subcommand_refuses_a_key_outside_the_format(tmp_path, capsys, argv, member, key):
+    """A key the format does not name, or one given twice, is refused by
+    every subcommand that loads a file, naming the key."""
+    path = write_with(tmp_path / "bad.json", member)
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert one_error_line(code, out, err)
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("argv, usage, extras", [
+    (["gallery", "noiseless-z", "--eps", "1/4", "--k", "3", "--out", "{out}"],
+     "usage: fscfb gallery noiseless-z ", "--k 3"),
+    (["capacity", "{ch}", "--n", "1", "--bogus"], "usage: fscfb capacity ", "--bogus"),
+], ids=["gallery", "capacity"])
+def test_an_unknown_flag_is_refused_with_its_subcommands_usage(frozen_channel, tmp_path, capsys,
+                                                               argv, usage, extras):
+    out_path = tmp_path / "out.json"
+    code, out, err = exit_outcome(capsys, main,
+                                  [a.format(ch=frozen_channel, out=out_path) for a in argv])
+    assert (code, out) == (2, "") and err.startswith(usage)
+    assert f"error: unrecognized arguments: {extras}\n" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
