@@ -38,7 +38,7 @@ class LoadedChannel:
     when the record is built: ``kind`` names the channel's class, ``s0`` is
     None or a state of the channel and ``params`` an object; the label and
     every value of ``params`` must be writable as JSON (a Fraction is
-    written as "p/q")."""
+    written as "p/q"), with a str for every key at any depth."""
 
     kind: str                       # "unifilar" | "general"
     channel: object                 # UnifilarChannel or FiniteStateChannel
@@ -56,6 +56,8 @@ class LoadedChannel:
             raise ValidationError(f"{_named('s0', self.s0)} outside 0..{self.channel.s_size - 1}")
         if not isinstance(self.params, dict):
             raise ValidationError(f"params must be an object, got {self.params!r}")
+        for where, value in (("label", self.label), ("params", self.params)):
+            _check_keys(value, where)  # before a params key is printed below
         _check_json(self.label, "label")
         for key, value in self.params.items():
             _check_json(value, f"params[{key!r}]")
@@ -256,6 +258,22 @@ def _check_json(value, where: str):
         except ValueError:  # it holds an int too long to print
             named = where
         raise ValidationError(f"{named} is not a JSON value: {exc}") from exc
+
+
+def _check_keys(value, where: str, at: tuple = ()):
+    """Refuse an object, at any depth of a header value, with a key that is
+    not a str: json.dumps would write 1 as "1", so {1: 0, "1": 1} would give
+    "1" twice. The object is named by its path from ``where``, built only to
+    refuse."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"{where}{''.join(f'[{k!r}]' for k in at)} is not a JSON "
+                                      f"value: {describe_int('key', key)} is not a string")
+            _check_keys(sub, where, at + (key,))
+    elif isinstance(value, (list, tuple)):
+        for i, sub in enumerate(value):
+            _check_keys(sub, where, at + (i,))
 
 
 def _tupled(nested):

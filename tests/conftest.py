@@ -6,7 +6,10 @@ private name of ``fscfb``. Each is the one reference for its quantity:
 ``brute_nfold`` for the n-fold law, ``brute_indecomp_gap`` for the
 state-memory gap and ``brute_certificate`` for the convergence certificate;
 ``brute_joint`` and ``brute_directed_info`` check the path tables of
-``oracle.py``, the reference for the rate.
+``oracle.py``, on which both ends of a certified bracket are checked at
+the returned policy: ``value`` against the rate ``evaluate_rate``, and
+``upper`` against ``linearized_max`` from above and ``segment_rate`` from
+below.
 """
 
 import itertools

@@ -1,17 +1,22 @@
 """The brute-force references the library is tested against, one per quantity.
 
-None of these shares code with ``fscfb.capacity``:
+None of these shares code with ``fscfb.capacity``, and none iterates to a
+tolerance. Flat path tables over every (x^N, y^N) path, with the
+history-indexed ``CausalPolicy`` and the path law ``path_law``, check each
+end of a certified bracket [value, upper] at the policy it returns:
 
-- the rate and the Blahut-Arimoto update: flat path tables over every
-  (x^N, y^N) path, with the history-indexed ``CausalPolicy``, the path law
-  ``path_law``, the exact rate ``evaluate_rate`` and ``_PathModel``, the
-  Blahut-Arimoto model over whole histories, which runs its own
-  over-relaxed loop in ``optimize_paths``; ``conftest.brute_joint`` and
-  ``conftest.brute_directed_info`` check them by loops;
-- the capacity of a memoryless channel: the plain alternating maximization,
-  with its own bracket, against which ``dmc_capacity`` is checked.
+- ``value`` against ``evaluate_rate``, the exact rate of that policy;
+- ``upper`` against ``linearized_max``, the rate linearized at that policy
+  and maximized over every deterministic causal policy by one fold back over
+  the histories, which bounds the horizon-N optimum; and, from below,
+  against ``segment_rate``, the best rate on a grid of the segment toward
+  that maximizer, a rate of a policy. At N = 1 on one state the pair
+  [``evaluate_rate``, ``linearized_max``] is [I(p), max_x D(W_x || Q_p)],
+  the bracket of a memoryless channel's capacity.
 
-The n-fold law of a general channel is ``conftest.brute_nfold``.
+``conftest.brute_joint`` and ``conftest.brute_directed_info`` check the
+path tables by loops. The n-fold law of a general channel is
+``conftest.brute_nfold``.
 """
 
 from __future__ import annotations
@@ -23,17 +28,12 @@ import numpy as np
 from fscfb import (
     DomainError,
     FscError,
-    OptimizerSettings,
     ResourceLimitError,
     ShapeError,
     UnifilarChannel,
     ValidationError,
 )
 from fscfb.capacity import MAX_JOINT_ENTRIES, POLICY_ROW_TOL
-
-MAX_PATHS = 4096     # (|X||Y|)^N guard on _PathModel; 4096 = binary N=6
-OMEGA_MAX = 1.5**40  # over-relaxation cap: the trial stays finite once the rate is flat
-_LN2 = np.log(2.0)
 
 
 # --- flat path tables ------------------------------------------------------
@@ -93,14 +93,13 @@ class CausalPolicy:
         return CausalPolicy(horizon, x_size, y_size, steps)
 
 
-def _path_tables(
-    u: UnifilarChannel, s0: int, horizon: int, limit: int = MAX_JOINT_ENTRIES, factors=None
-):
+def _path_tables(u: UnifilarChannel, s0: int, horizon: int, factors=None):
     """Wseq, log2 Wseq and the output-sequence index of every (x^N, y^N) path.
 
     Paths are numbered like the policy's flat histories: the (x_n, y_n)
     pairs most-recent-last, each pair as x*|Y| + y. Bad horizons and states,
-    and more than ``limit`` paths, are refused before anything is allocated.
+    and more than ``MAX_JOINT_ENTRIES`` paths, are refused before anything
+    is allocated.
     Each step's channel factor W_n(y_n | x_n, s_{n-1}), shaped (histories
     of length n-1, |X|, |Y|), is appended to ``factors`` if that is a list
     (at binary N = 10 they would add a quarter to evaluate_rate's peak).
@@ -111,9 +110,10 @@ def _path_tables(
     if not 0 <= s0 < u.s_size:
         raise DomainError(f"state {s0} outside 0..{u.s_size - 1}")
     paths = (x * y) ** horizon
-    if paths > limit:
+    if paths > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(
-            f"horizon {horizon} needs {paths} trajectories, over the limit of {limit}", limit=limit
+            f"horizon {horizon} needs {paths} trajectories, over the limit of {MAX_JOINT_ENTRIES}",
+            limit=MAX_JOINT_ENTRIES,
         )
     wseq = np.ones(1)
     state = np.array([s0])
@@ -137,14 +137,15 @@ def _path_rate(prob, logw, yidx, horizon: int, y_size: int, loss=None):
     return float(prob @ loss) / horizon, q
 
 
-def path_law(u: UnifilarChannel, s0: int, policy: CausalPolicy):
+def path_law(u: UnifilarChannel, s0: int, policy: CausalPolicy, factors=None):
     """P(x^N, y^N | s_0) of every path under ``policy``, with the path
     tables' log2 Wseq and output-sequence index; the paths are numbered as
-    ``_path_tables`` numbers them."""
+    ``_path_tables`` numbers them, which appends each step's channel factor
+    to ``factors`` if that is a list."""
     if policy.x_size != u.x_size or policy.y_size != u.y_size:
         raise ShapeError("policy alphabets do not match the channel")
     n_steps = policy.horizon
-    prob, logw, yidx = _path_tables(u, s0, n_steps)
+    prob, logw, yidx = _path_tables(u, s0, n_steps, factors)
     pair = u.x_size * u.y_size
     for n, step in enumerate(policy.steps):
         # each (history, x_n) entry covers y_n and every continuation
@@ -165,70 +166,48 @@ def evaluate_rate(u: UnifilarChannel, s0: int, policy) -> float:
     return value
 
 
-class _PathModel:
-    """Flat enumeration of all (x^N, y^N) paths for the Blahut-Arimoto solver.
+def linearized_max(u: UnifilarChannel, s0: int, policy, argmax=None) -> float:
+    """U*, the certified upper end at ``policy`` (a CausalPolicy or a lattice
+    policy): the rate linearized there, (1/N) sum_p P'(p) L(p) with the loss
+    L = log2 Wseq - log2 Q of ``_path_rate``, maximized over every causal
+    path law P'. The rate is concave in the path law, so U* bounds the
+    horizon-N optimum. A linear function peaks at a deterministic policy, so
+    L is folded back over the (x^n, y^n) histories with the best input at
+    each: V_{n-1}(h) = max_x sum_y W_n(y | x, s(h)) V_n(h x y), and U* =
+    V_0 / N. It is +inf when Q misses an output sequence some path reaches,
+    where L is infinite. If ``argmax`` is a list, the deterministic
+    CausalPolicy of those best inputs is appended to it."""
+    if not isinstance(policy, CausalPolicy):
+        policy = causal_policy(u, s0, policy)
+    factors, picks = [], []
+    prob, logw, yidx = path_law(u, s0, policy, factors)
+    # V_N = L, written over logw: peak memory
+    _, q = _path_rate(prob, logw, yidx, policy.horizon, u.y_size, loss=logw)
+    value = logw
+    value[q[yidx] == 0] = np.inf
+    for w in reversed(factors):  # a path of zero probability adds nothing, even at +inf
+        gains = np.multiply(value.reshape(w.shape), w, out=np.zeros(w.shape), where=w > 0)
+        gains = gains.sum(axis=2)
+        picks.insert(0, np.eye(u.x_size)[gains.argmax(axis=1)])
+        value = gains.max(axis=1)
+    if argmax is not None:
+        argmax.append(CausalPolicy(policy.horizon, u.x_size, u.y_size, tuple(picks)))
+    return float(value[0]) / policy.horizon
 
-    The policy is one log-probability table theta of shape
-    (|X|, sum_{n<N} (|X||Y|)^n), x-major so that every reduction over x
-    runs along whole rows; step n's columns, one per history of length n,
-    are ``theta[:, steps[n]]``. ``cells`` lists, step-major, the flat table
-    entry each path draws at each step, so one gather serves all steps.
 
-    ``forward`` leaves two per-path tables in ``buf``: the log posterior
-    z = ln P(x^N | y^N) and the loss L = log2 Wseq - log2 Q(y^N), whose
-    P-weighted mean is the rate. ``backward`` folds both to the root one
-    step at a time through the step's channel factor: z into the
-    Blahut-Arimoto policy update, L into the best deterministic policy's
-    value of the rate linearized at the current policy.
-    """
-
-    def __init__(self, u: UnifilarChannel, s0: int, horizon: int):
-        self.factors = []
-        self.wseq, self.logw, self.yidx = _path_tables(u, s0, horizon, MAX_PATHS, self.factors)
-        x, y = u.x_size, u.y_size
-        pair = x * y
-        self.horizon = horizon
-        self.y_size = y
-        offsets = np.concatenate(([0], np.cumsum(pair ** np.arange(horizon))))
-        self.steps = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        self.theta_shape = (x, int(offsets[-1]))
-        path = np.arange(self.wseq.size)
-        later = pair ** np.arange(horizon - 1, -1, -1)[:, None]  # paths per step-n pair
-        rows = path // (later * pair) + offsets[:-1, None]
-        self.cells = (path // later % pair // y * offsets[-1] + rows).ravel()
-        # pick[x, (x, y)] = 1: sums a history's (x_n, y_n) entries over y_n
-        self.pick = np.repeat(np.eye(x), y, axis=1)
-        # the output sequences some path reaches: L is exact only where Q > 0 on all of them
-        self.reached = np.bincount(self.yidx, weights=self.wseq, minlength=y**horizon) > 0
-        self.buf = np.empty((2, self.wseq.size))
-
-    def forward(self, theta):
-        """The rate of the policy exp(theta), and whether L is exact."""
-        lp = theta.ravel()[self.cells].reshape(self.horizon, -1).sum(axis=0)
-        prob = self.wseq * np.exp(lp)
-        z, loss = self.buf
-        value, q = _path_rate(prob, self.logw, self.yidx, self.horizon, self.y_size, loss)
-        np.multiply(loss, _LN2, out=z)
-        z += lp
-        return value, bool(q[self.reached].all())
-
-    def backward(self, out):
-        """Write the Blahut-Arimoto update of the last forward's policy into
-        ``out`` and return the linearized rate's maximum, an upper bound on
-        the horizon-N optimum when L is exact."""
-        a = self.buf
-        for n in range(self.horizon - 1, -1, -1):
-            w = self.factors[n]
-            h = w.shape[0]
-            # expectations over y_n, laid out (x_n, [z histories, L histories])
-            e = self.pick @ (a.reshape(2, h, -1) * w.reshape(h, -1)).reshape(2 * h, -1).T
-            ez, ev = e[:, :h], e[:, h:]
-            lse = np.logaddexp.reduce(ez, axis=0)
-            np.subtract(ez, lse, out=out[:, self.steps[n]])
-            a = a[:, :h]  # one entry per history of length n-1
-            a[0] = lse
-            ev.max(axis=0, out=a[1])
-        return float(a[1, 0]) / self.horizon
+def segment_rate(u: UnifilarChannel, s0: int, policy, toward: CausalPolicy) -> float:
+    """The best rate on the segment from the path law of ``policy`` (a
+    CausalPolicy or a lattice policy) to that of ``toward``, over t = 0 and
+    t = 2^-k for k < 60: causal path laws form a convex set, so each point is
+    the rate of a policy, a lower bound on the horizon-N optimum. Toward the
+    policy that attains U*, the rate rises at slope U* - rate from t = 0,
+    so a ``policy`` whose rate is below the optimum's gains some of the gap."""
+    if not isinstance(policy, CausalPolicy):
+        policy = causal_policy(u, s0, policy)
+    prob, logw, yidx = path_law(u, s0, policy)
+    step = path_law(u, s0, toward)[0] - prob
+    return max(_path_rate(prob + t * step, logw, yidx, policy.horizon, u.y_size)[0]
+               for t in (0.0, *2.0 ** -np.arange(60)))
 
 
 def causal_policy(u: UnifilarChannel, s0: int, steps) -> CausalPolicy:
@@ -245,77 +224,3 @@ def causal_policy(u: UnifilarChannel, s0: int, steps) -> CausalPolicy:
         state = u.f[state].ravel()
         code = (code[:, None, None] + y**n * np.arange(y)).repeat(x, axis=1).ravel()
     return CausalPolicy(len(tables), x, y, tuple(tables))
-
-
-def optimize_paths(u: UnifilarChannel, s0: int, horizon: int, cfg: OptimizerSettings):
-    """Over-relaxed Blahut-Arimoto on ``_PathModel`` from the uniform policy,
-    an ascent independent of the library's: it keeps every input (a dropped
-    input's -inf would turn the posterior fold into NaN) and takes no secant
-    step. The trial theta + omega (theta_BA - theta), renormalized, is kept
-    unless it lowers the rate, and omega then grows 1.5-fold up to
-    ``OMEGA_MAX``; otherwise the run takes theta_BA, which never lowers it,
-    and omega restarts at 1, where the trial is theta_BA itself. The upper
-    bound starts at log2|Y|. Returns (value, upper, theta) once
-    upper - value < ``cfg.tol`` or after ``cfg.max_iters`` updates."""
-    model = _PathModel(u, s0, horizon)
-    theta = np.full(model.theta_shape, -np.log(u.x_size))
-    update = np.empty_like(theta)
-    value, exact = model.forward(theta)
-    upper, omega, iters = float(np.log2(u.y_size)), 1.0, 0
-    while True:
-        bound = model.backward(update)
-        if exact:
-            upper = min(upper, bound)
-        if upper - value < cfg.tol or iters >= cfg.max_iters:
-            return value, max(upper, value), theta
-        iters += 1
-        if omega > 1.0:
-            trial = theta + omega * (update - theta)
-            trial -= np.logaddexp.reduce(trial, axis=0)
-            trial_value, trial_exact = model.forward(trial)
-            if trial_value >= value:
-                theta, value, exact = trial, trial_value, trial_exact
-                omega = min(1.5 * omega, OMEGA_MAX)
-                continue
-            omega = 1.0
-        else:
-            omega = 1.5
-        theta, update = update, theta
-        value, exact = model.forward(theta)
-
-
-# --- memoryless capacity --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlainCapacity:
-    """The midpoint and the width of the closed bracket."""
-
-    capacity: float
-    bracket: float
-
-
-def plain_dmc_capacity(w, tol: float = 1e-10, max_iters: int = 2_000_000) -> PlainCapacity:
-    """Memoryless-channel capacity by plain alternating maximization.
-
-    Iterates the multiplicative input update r <- r 2^D(W_x || Q) until the
-    bounds I(r) <= C <= max_x D(W_x || Q) differ by less than ``tol`` and
-    returns their midpoint and their gap.
-    """
-    w = np.asarray(w, dtype=float)
-    logw = np.where(w > 0, np.log2(np.where(w > 0, w, 1.0)), 0.0)
-    r = np.full(w.shape[0], 1.0 / w.shape[0])
-    for _ in range(max_iters):
-        q = r @ w
-        logq = np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), 0.0)
-        # d[x] = KL(w[x] || q) in bits; exact where w[x,y] > 0 implies q[y] > 0
-        d = (w * (logw - logq[None, :])).sum(axis=1)
-        lower = float(r @ d)
-        upper = float(d.max())
-        if upper - lower < tol:
-            return PlainCapacity(capacity=(upper + lower) / 2.0, bracket=upper - lower)
-        r = r * np.exp2(d)
-        r = r / r.sum()
-    raise ResourceLimitError(
-        f"capacity bracket did not close below {tol} in {max_iters} iterations", limit=max_iters
-    )

@@ -30,7 +30,7 @@ from fscfb import (
 from fscfb.capacity import _Lattice
 from fscfb.cli import main
 from conftest import single_state
-from oracle import CausalPolicy, causal_policy, path_law, plain_dmc_capacity
+from oracle import CausalPolicy, causal_policy, evaluate_rate, linearized_max, path_law
 
 
 def zchannel(eps: float):
@@ -38,15 +38,19 @@ def zchannel(eps: float):
 
 
 def test_criterion_1_closed_form_vs_oracle():
+    # at the closed form's law p*, the enumerated bracket [I(p*), max_x D(W_x || Q)]
     started = time.monotonic()
     for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
-        closed, _ = z_channel_closed_form(float(eps))
-        oracle = plain_dmc_capacity(zchannel(float(eps)))
-        assert abs(closed - oracle.capacity) < 1e-6
+        closed, law = z_channel_closed_form(float(eps))
+        u, policy = single_state(zchannel(float(eps))), CausalPolicy.iid(law, 2, 1)
+        lower, upper = evaluate_rate(u, 0, policy), linearized_max(u, 0, policy)
+        assert lower - 1e-12 <= closed <= upper + 1e-12
+        assert upper - lower <= 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
-    print(f"ACCEPTANCE 1 PASS: closed form matches the iterative oracle "
-          f"within 1e-6 for eps in {{1/10, 1/4, 2/5}} ({elapsed:.3f}s)")
+    print(f"ACCEPTANCE 1 PASS: closed form lies in the enumerated bracket "
+          f"[I(p*), max_x D(W_x || Q)] at its own law, at most 1e-12 wide, "
+          f"for eps in {{1/10, 1/4, 2/5}} ({elapsed:.3f}s)")
 
 
 def test_criterion_2_noiseless_feedback_rate():
@@ -74,20 +78,24 @@ def test_criterion_3_memoryless_equality_regime():
                     np.array([[2 / 7, 5 / 7], [1 / 6, 5 / 6]])]
     worst = 0.0
     for w in random_channels + near_useless:
-        oracle = plain_dmc_capacity(w)
         u = single_state(w)
+        res = dmc_capacity(w)
+        # the enumerated bracket [I(p), max_x D(W_x || Q)] at the returned law p
+        lower, upper = evaluate_rate(u, 0, res.policy), linearized_max(u, 0, res.policy)
+        assert upper - lower <= 1e-9
+        capacity = (lower + upper) / 2
         for n in (1, 2, 3):
             est = optimize_rate(u, 0, n)
-            worst = max(worst, abs(est.value - oracle.capacity))
-            assert abs(est.value - oracle.capacity) <= 1e-4
-        res = dmc_capacity(w)
-        # the certified brackets meet, up to rounding
-        midpoint, width = (res.value + res.upper) / 2, res.upper - res.value
-        assert abs(midpoint - oracle.capacity) <= (width + oracle.bracket) / 2 + 1e-12
+            worst = max(worst, abs(est.value - capacity))
+            assert abs(est.value - capacity) <= 1e-4
+        # dmc_capacity's bracket end by end: its value is I(p), its upper at most U*
+        assert abs(res.value - lower) <= 1e-12
+        assert lower - 1e-12 <= res.upper <= upper + 1e-12
         assert res.diagnostics["iterations"] <= 50
     print(f"ACCEPTANCE 3 PASS: {len(random_channels)} random and {len(near_useless)} "
-          f"near-useless memoryless wraps match the oracle for N in 1..3 within 1e-4 "
-          f"(worst {worst:.2e}); dmc_capacity's bracket meets the oracle's")
+          f"near-useless memoryless wraps match the enumerated bracket at "
+          f"dmc_capacity's law for N in 1..3 within 1e-4 (worst {worst:.2e}); "
+          f"dmc_capacity's bracket lies in it")
 
 
 def single_letter_sum(u, policy):

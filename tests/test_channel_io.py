@@ -420,6 +420,11 @@ def test_a_record_checks_its_header_when_built(header):
     # ints too long to print: named by their bit length, or by their key alone
     ({"params": {"k": 10**5000}}, "params['k'] of 16,610 bits is"),
     ({"params": {"k": [1, 10**5000]}}, "params['k'] is"),
+    # keys json.dumps would write as strings, so "1" twice
+    ({"params": {1: "a", "1": "b"}}, "params is not a JSON value: key 1 is"),
+    ({"params": {"eps": {2: "x", "2": "y"}}}, "params['eps'] is not a JSON value: key 2 is"),
+    ({"params": {"k": [{10**5000: 0}]}}, "params['k'][0] is not a JSON value: key of 16,610"),
+    ({"label": {1: "a"}}, "label is not a JSON value: key 1 is"),
 ])
 def test_a_record_refuses_a_header_value_it_could_not_write(header, where):
     with pytest.raises(ValidationError, match=r"not a JSON value") as err:
