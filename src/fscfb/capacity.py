@@ -404,46 +404,47 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     keeps one. A dropped input comes back at 1e-3 when the policy misses an
     output sequence the channel can emit (no optimum does: the rate's slope
     toward such a sequence is infinite), or when ``model.backward`` finds it
-    violating the optimality conditions by at least the current gap,
-    upper - value in nats per use; a re-admitted input is exempt from later
-    epochs' drops. At a fixed point on a face the gap is at most the largest
-    violation, since V_0 - Z_0, N ln 2 times the gap there, gains at most
-    one violation per step. So a face without the optimum cannot hold the
-    run, while an input that vanishes only in the limit is not brought back
-    by the small violations on the way there. A change of face is a
-    renormalized plain step; omega carries over a drop, which moves the
-    policy by less than 1e-3, and is reset to 1 by a re-admission. An
-    optimum on the boundary, which the update approaches only like 1/k, is
-    then approached at the update's linear rate on its face. An entry whose
-    probability underflows to 0, which a long over-relaxed step can leave
-    finite far below any floor, is dropped too as soon as an iterate holds
-    it, and counted as a drop: finite, the re-admission test would never see
-    it, and the update would take thousands of steps to raise it. This
-    drops re-admitted inputs as well, so an input can leave and come back
-    more than once; what keeps that from cycling is only the re-admission
-    rule, which brings an input back when its violation is what holds the
-    bracket open.
+    violating the optimality conditions by at least the last bound's gap,
+    upper - value in nats per use (the same pass computes the current one);
+    a re-admitted input is exempt from later epochs' drops. At a fixed point
+    on a face the gap is at most the largest violation, since V_0 - Z_0,
+    N ln 2 times the gap there, gains at most one violation per step. So a
+    face without the optimum cannot hold the run, while an input that
+    vanishes only in the limit is not brought back by the small violations
+    on the way there. A change of face is a renormalized plain step; omega
+    carries over a drop, which moves the policy by less than 1e-3, and is
+    reset to 1 by a re-admission. An optimum on the boundary, which the
+    update approaches only like 1/k, is then approached at the update's
+    linear rate on its face. An entry whose probability underflows to 0,
+    which a long over-relaxed step can leave finite far below any floor, is
+    dropped too as soon as an iterate holds it, and counted as a drop:
+    finite, the re-admission test would never see it, and the update would
+    take thousands of steps to raise it. This drops re-admitted inputs as
+    well, so an input can leave and come back more than once; what keeps
+    that from cycling is only the re-admission rule, which brings an input
+    back when its violation is what holds the bracket open.
 
-    The upper bound is the linearized rate's maximum over every
-    deterministic policy, dropped inputs included, so it holds whatever the
-    support; it starts at log2|Y|, which bounds every rate. Rounding can put
-    it an ulp below the rate; it is reported as at least that. A change of
-    face can lower the rate, so the best policy seen is returned.
+    Each iterate's bracket is its own: its rate, and the linearized rate's
+    maximum over every deterministic policy, dropped inputs included, so it
+    holds whatever the support, capped at log2|Y|, which bounds every rate;
+    log2|Y| alone where the linearized rate is not exact. The run stops on
+    it and returns the last iterate with it, so the returned policy
+    re-checks it; a change of face can lower the rate, so a run capped just
+    after one may return less than one capped just before. Rounding can put
+    the upper end an ulp below the rate; it is reported as at least that.
 
     The iterate, the update and the trial rotate through the lattice's
     ``iterates``, so an update allocates nothing: a table is reused once
-    nothing reads it, the best policy is copied out at a change of face,
-    and the caller's ``theta`` is only read. Returns
-    (theta, value, upper, counts): the counts of updates, of dropped and
-    re-admitted inputs, of accepted trials with a secant correction and of
-    rejected trials.
+    nothing reads it, the returned theta is one of them, and the caller's
+    ``theta`` is only read. Returns (theta, value, upper, counts): the
+    counts of updates, of dropped and re-admitted inputs, of accepted trials
+    with a secant correction and of rejected trials.
     """
     start = theta
     theta, update, trial = model.iterates
     np.copyto(theta, start)
     value, exact = model.forward(theta)
-    best, saved = (value, start), np.empty(theta.shape)  # the best policy seen, copied to saved
-    upper = float(np.log2(model.y_size))
+    ceiling = float(np.log2(model.y_size))  # bounds every rate
     kept = np.zeros(theta.shape, dtype=bool)  # re-admitted inputs: no epoch drops them
     finite = np.empty(theta.shape, dtype=bool)
     omega = 1.0
@@ -455,9 +456,8 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
     # pi is rewritten by the next forward, so until then it can take a
     # renormalization's column max and log-sum; one input's table is too narrow
     free = model.pi if len(theta) > 1 else None
-    last_step = np.empty(theta.shape)
     # pairs recorded since the history was cleared; once pending, the last
-    # move's dx sits in its ring slot and its g in last_step, waiting for dg
+    # move's dx sits in its ring slot and its g in step, waiting for dg
     pairs, pending = 0, False
     iters = pruned = readmitted = accelerated = rejected = 0
     while True:
@@ -466,8 +466,7 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             bound = model.backward(update, (upper - value) * _LN2)
         else:
             bound = model.backward(update)
-        if exact:
-            upper = min(upper, bound)
+        upper = min(bound, ceiling) if exact else ceiling
         if upper - value < cfg.tol or iters >= cfg.max_iters:
             break
         iters += 1
@@ -484,20 +483,17 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
             kept |= back
             update[drop] = -np.inf
             _normalize(update, free)
-            if value > best[0]:  # ties keep the earlier policy
-                np.copyto(saved, theta)
-                best = value, saved
             pairs, pending = 0, False
             if n_back:
                 omega = 1.0
         else:
             np.isfinite(np.add(theta, update, out=trial), out=finite)  # trial is free here
-            step.fill(0.0)  # g is 0 on dropped inputs
-            np.subtract(update, theta, out=step, where=finite)
+            trial.fill(0.0)  # g is 0 on dropped inputs; it waits in trial
+            np.subtract(update, theta, out=trial, where=finite)
             if pending:  # the last move's pair is complete
-                np.subtract(step, last_step, out=dgs[pairs % _MEMORY])
+                np.subtract(trial, step, out=dgs[pairs % _MEMORY])
                 pairs += 1
-            np.copyto(last_step, step)
+            np.copyto(step, trial)
             pending, gamma = True, ()
             if pairs:
                 fit = flat[:min(pairs, _MEMORY) + 1]
@@ -529,10 +525,6 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
         theta, update = update, theta
         value, exact = model.forward(theta)
         pruned += _drop_underflows(theta, model.pi)
-    if value > best[0]:
-        np.copyto(saved, theta)
-        best = value, saved
-    value, theta = best
     counts = {"iterations": iters, "pruned": pruned, "readmitted": readmitted,
               "accelerated": accelerated, "rejected": rejected}
     return theta, value, max(upper, value), counts
@@ -542,9 +534,11 @@ def _ascend(model: _Lattice, theta, cfg: OptimizerSettings):
 class CapacityEstimate:
     """A finite-horizon feedback-rate estimate and how it was obtained:
     ``value`` is the rate of ``policy``, and ``upper`` a certified upper
-    bound on the horizon-N optimum. ``policy[n-1][s, y, x]`` is
-    pi_n(x | s_{n-1} = s, y^{n-1}), where y numbers the output history
-    sum_k y_k |Y|^(k-1), the first output the least significant digit."""
+    bound on the horizon-N optimum, that of ``policy``: the rate linearized
+    there and maximized over deterministic policies, capped at log2|Y|.
+    ``policy[n-1][s, y, x]`` is pi_n(x | s_{n-1} = s, y^{n-1}), where y
+    numbers the output history sum_k y_k |Y|^(k-1), the first output the
+    least significant digit."""
 
     value: float
     upper: float
@@ -557,11 +551,13 @@ def optimize_rate(
 ) -> CapacityEstimate:
     """Blahut-Arimoto over causal policies from a fixed initial state.
 
-    The run starts at the uniform policy, so the result is never below the
-    uniform-iid baseline, and stops once upper - value < ``cfg.tol`` or
-    after ``cfg.max_iters`` updates. The rate is concave in
-    p(x^N || y^{N-1}), which enters the joint law linearly, so the rate
-    linearized at any policy, maximized over deterministic causal
+    The run starts at the uniform policy and stops once upper - value <
+    ``cfg.tol`` or after ``cfg.max_iters`` updates, with its last policy and
+    that policy's own bracket. Only a change of face, every ``_FACE_EVERY``
+    updates, can lower the rate, so a capped run ends below the uniform-iid
+    baseline only if one did, and a closed one at most ``cfg.tol``. The rate
+    is concave in p(x^N || y^{N-1}), which enters the joint law linearly, so
+    the rate linearized at any policy, maximized over deterministic causal
     policies, bounds the optimum from above. ``diagnostics`` holds
     ``converged`` and ``_ascend``'s counts: ``iterations``, the inputs
     ``pruned`` (dropped to probability 0) and ``readmitted``, the

@@ -8,8 +8,7 @@ state-memory gap and ``brute_certificate`` for the convergence certificate;
 ``brute_joint`` and ``brute_directed_info`` check the path tables of
 ``oracle.py``, on which both ends of a certified bracket are checked at
 the returned policy: ``value`` against the rate ``evaluate_rate``, and
-``upper`` against ``linearized_max`` from above and ``segment_rate`` from
-below.
+``upper`` against ``linearized_max``.
 """
 
 import itertools

@@ -3,16 +3,20 @@
 None of these shares code with ``fscfb.capacity``, and none iterates to a
 tolerance. Flat path tables over every (x^N, y^N) path, with the
 history-indexed ``CausalPolicy`` and the path law ``path_law``, check each
-end of a certified bracket [value, upper] at the policy it returns:
+end of a certified bracket [value, upper] at the policy it returns, whose
+own bracket it is:
 
 - ``value`` against ``evaluate_rate``, the exact rate of that policy;
-- ``upper`` against ``linearized_max``, the rate linearized at that policy
-  and maximized over every deterministic causal policy by one fold back over
-  the histories, which bounds the horizon-N optimum; and, from below,
-  against ``segment_rate``, the best rate on a grid of the segment toward
-  that maximizer, a rate of a policy. At N = 1 on one state the pair
-  [``evaluate_rate``, ``linearized_max``] is [I(p), max_x D(W_x || Q_p)],
-  the bracket of a memoryless channel's capacity.
+- ``upper`` against min(U*, log2|Y|), with U* = ``linearized_max``, the
+  rate linearized at that policy and maximized over every deterministic
+  causal policy by one fold back over the histories, which bounds the
+  horizon-N optimum.
+
+``segment_rate``, the best rate on a grid of the segment toward U*'s
+maximizer, is a rate of a policy; it checks U* itself from below. At N = 1
+on one state the pair [``evaluate_rate``, ``linearized_max``] is
+[I(p), max_x D(W_x || Q_p)], the bracket of a memoryless channel's
+capacity.
 
 ``conftest.brute_joint`` and ``conftest.brute_directed_info`` check the
 path tables by loops. The n-fold law of a general channel is
